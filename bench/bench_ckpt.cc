@@ -136,10 +136,9 @@ void RunRuntimeCkptPhase(util::BenchReport& report) {
       static_cast<unsigned long long>(stats.ckpt_epochs), cfg.workers);
   std::printf(
       "  pause/worker: p50=%.0f p99=%.0f cycles (n=%llu)  "
-      "failover_resync=%.0f cycles  rehomed=%llu  epoch_failures=%llu\n",
+      "failover_resync=%.0f cycles  epoch_failures=%llu\n",
       pause_p50, pause_p99,
       static_cast<unsigned long long>(stats.ckpt_pause_cycles.count), resync,
-      static_cast<unsigned long long>(stats.failover_rehomed_items),
       static_cast<unsigned long long>(stats.ckpt_epoch_failures));
   std::printf(
       "  exactly-once: dispatched=%llu delivered=%llu drops=%llu "
@@ -166,18 +165,16 @@ void RunRuntimeCkptPhase(util::BenchReport& report) {
                   stats.delivery_latency_cycles.count));
 
   // Decomposition of the same SLO ("where did the p99 go"): per-component
-  // tail of the additive queue/service/steal/fence split. Quantiles are not
+  // tail of the additive queue/service/fence split. Quantiles are not
   // additive, so these bound which phase dominates the tail rather than
   // summing to slo_p99 — under a checkpoint storm the fence component is
   // the one to watch.
   const double queue_p99 = stats.latency_queue_cycles.Percentile(99.0);
   const double service_p99 = stats.latency_service_cycles.Percentile(99.0);
-  const double steal_p99 = stats.latency_steal_cycles.Percentile(99.0);
   const double fence_p99 = stats.latency_fence_cycles.Percentile(99.0);
   std::printf(
-      "  slo decomposition p99: queue=%.0f service=%.0f steal=%.0f "
-      "fence=%.0f cycles\n",
-      queue_p99, service_p99, steal_p99, fence_p99);
+      "  slo decomposition p99: queue=%.0f service=%.0f fence=%.0f cycles\n",
+      queue_p99, service_p99, fence_p99);
 
   report.AddScalar("ckpt_pause_p99_cycles", pause_p99);
   report.AddScalar("ckpt_pause_p50_cycles", pause_p50);
@@ -185,7 +182,6 @@ void RunRuntimeCkptPhase(util::BenchReport& report) {
   report.AddScalar("ckpt_slo_p99_cycles", slo_p99);
   report.AddScalar("ckpt_latency_queue_p99_cycles", queue_p99);
   report.AddScalar("ckpt_latency_service_p99_cycles", service_p99);
-  report.AddScalar("ckpt_latency_steal_p99_cycles", steal_p99);
   report.AddScalar("ckpt_latency_fence_p99_cycles", fence_p99);
   report.AddScalar("runtime_ckpt_epochs",
                    static_cast<double>(stats.ckpt_epochs));

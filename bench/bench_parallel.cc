@@ -32,7 +32,6 @@
 #include "src/net/operators/null_filter.h"
 #include "src/net/pktgen.h"
 #include "src/net/runtime.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/util/bench_json.h"
 #include "src/util/cycles.h"
@@ -151,21 +150,15 @@ void SweepPipeline(const char* label, const char* label_key,
   }
 }
 
-// Zipf-skewed load through the paced rx thread. Pacing is what makes the
-// stealing comparison honest: the blocking Dispatch loop above holds the
-// steer lock (shared) across its whole fan-out, so thieves could only ever
-// steal in the sliver between dispatches. The rx thread instead sleeps —
-// lock-free — whenever a queue crosses the high-water mark, which is
-// exactly the window an idle worker uses to pull the hot shard's backlog.
-RunResult RunZipfPaced(std::size_t workers, bool stealing,
-                       std::uint64_t bursts,
+// Zipf-skewed load through the paced rx thread (the traced run below): the
+// rx thread, not the bench driver, dispatches, so flow tracks span it.
+RunResult RunZipfPaced(std::size_t workers, std::uint64_t bursts,
                        std::vector<net::StageSpec> spec) {
   net::RuntimeConfig cfg;
   cfg.workers = workers;
   cfg.queue_depth = 64;
   cfg.pool_capacity = 8192;
   cfg.isolated = true;
-  cfg.stealing.enabled = stealing;
   cfg.paced_rx.enabled = true;
   cfg.paced_rx.burst = kBatchSize;
   cfg.paced_rx.high_water_frac = 0.75;
@@ -215,84 +208,16 @@ int main(int argc, char** argv) {
                       r.stats.packets_per_worker);
   }
 
-  // Zipf(1.0) with work stealing: the hot flow's home shard backs up, idle
-  // peers pull whole cold flows off it. On a multi-core host the stolen
-  // share turns into throughput; on a 1-core container the two numbers
-  // should track each other (the steal machinery riding along is the cost
-  // being measured).
-  std::printf("\n=== Zipf(1.0) skew, paced rx, 4 workers, Maglev: "
-              "stealing off vs on ===\n");
-  obs::ArmMetricsGroup(obs::MetricGroup::kNet, true);
-  // Interleaved repetitions, compared on the per-arm BEST (minimum) wall
-  // cycles: a single off/on pair is at the mercy of scheduler noise (this
-  // runs on oversubscribed 1-core CI), interleaving keeps slow drift
-  // (thermal, background load) from biasing one arm, and — since preemption
-  // noise is strictly additive — the minimum is the lowest-variance
-  // estimator of each arm's true cost. The best-of ratio drives the speedup
-  // scalar the regression gate watches.
-  constexpr int kZipfReps = 5;
-  std::vector<double> arm_cycles[2];
-  double throughput[2] = {0, 0};
-  double batch_p50[2] = {0, 0};
-  RunResult last_on;
-  for (int rep = 0; rep < kZipfReps; ++rep) {
-    for (bool stealing : {false, true}) {
-      RunResult r =
-          RunZipfPaced(4, stealing, static_cast<std::uint64_t>(kBatches),
-                       MaglevSpec());
-      if (rep == 0) {
-        std::printf("stealing=%s  %s\n", stealing ? "on" : "off",
-                    r.stats.Summary().c_str());
-      }
-      arm_cycles[stealing].push_back(r.cycles);
-      throughput[stealing] = static_cast<double>(r.packets) / r.cycles * 1e6;
-      batch_p50[stealing] = r.stats.batch_cycles.Percentile(50.0);
-      if (stealing) {
-        last_on = std::move(r);
-      }
-    }
-  }
-  const double off_best =
-      *std::min_element(arm_cycles[0].begin(), arm_cycles[0].end());
-  const double on_best =
-      *std::min_element(arm_cycles[1].begin(), arm_cycles[1].end());
-  for (bool stealing : {false, true}) {
-    const char* key = stealing ? "on" : "off";
-    g_report->AddScalar(std::string("zipf_mpkt_per_mcyc_steal_") + key,
-                        throughput[stealing]);
-    g_report->AddScalar(std::string("zipf_batch_cycles_p50_steal_") + key,
-                        batch_p50[stealing]);
-  }
-  g_report->AddScalar("zipf_steals",
-                      static_cast<double>(last_on.stats.totals.steals));
-  g_report->AddScalar("zipf_steals_skipped",
-                      static_cast<double>(last_on.stats.totals.steals_skipped));
-  g_report->AddScalar("zipf_migration_evictions",
-                      static_cast<double>(last_on.stats.migration_evictions));
-  g_report->AddScalar("zipf_stolen_items",
-                      static_cast<double>(last_on.stats.totals.stolen_items));
-  g_report->AddScalar("zipf_migrated_flows",
-                      static_cast<double>(last_on.stats.migrated_flows));
-  g_report->AddScalar("zipf_steal_cycles_p50",
-                      last_on.stats.steal_cycles.Percentile(50.0));
-  // Client-visible SLO under the skewed steal workload: p99 of
-  // dispatch-to-delivery latency (the always-on runtime histogram), so a
-  // stealing change that helps throughput but hurts tail delivery shows up.
-  g_report->AddScalar("zipf_slo_p99_cycles",
-                      last_on.stats.delivery_latency_cycles.Percentile(99.0));
-  // >1.0 = stealing finished the same skewed load faster (best of reps).
-  g_report->AddScalar("zipf_steal_speedup", off_best / on_best);
-  std::printf("steal speedup vs off (best of %d): %.3fx\n", kZipfReps,
-              off_best / on_best);
-  obs::ArmMetricsGroup(obs::MetricGroup::kNet, false);
-
   // Fused vs interpreted through the full sharded runtime: the same 5-stage
   // null-filter chain, 1 worker (so the comparison is pure per-batch cost,
   // no scheduling luck), interpreted (5 domains, 5 crossings/batch) against
-  // Fuse(0, 4) (1 domain, 1 crossing/batch). Interleaved best-of reps for
-  // the same noise-rejection reasons as the steal phase. The speedup scalar
-  // is the CI floor: fusing co-trusted stages must never cost throughput —
-  // >=1.0, and on a quiet host roughly 1 + 4*crossing/work.
+  // Fuse(0, 4) (1 domain, 1 crossing/batch). Interleaved best-of reps: a
+  // single pair is at the mercy of scheduler noise, interleaving keeps slow
+  // drift from biasing one arm, and since preemption noise is strictly
+  // additive, the minimum is the lowest-variance estimator of each arm's
+  // true cost. The speedup scalar is the CI floor: fusing co-trusted stages
+  // must never cost throughput — >=1.0, and on a quiet host roughly
+  // 1 + 4*crossing/work.
   std::printf("\n=== fused vs interpreted schedule, 1 worker, null x%zu ===\n",
               kNullStages);
   {
@@ -340,11 +265,11 @@ int main(int argc, char** argv) {
                 interp_best / fused_best, kFuseReps);
   }
 
-  // Optional traced run (argv[1] = output path): stealing on plus a flaky
-  // replica on the hot home, with the tracer armed. The exported trace must
-  // satisfy `trace_lint --flow-check` — at least one flow's async track
-  // spanning the rx thread, a worker, and a recovery — with steal instants
-  // present on the same tracks.
+  // Optional traced run (argv[1] = output path): Zipf traffic through the
+  // paced rx thread plus a flaky replica on the hot home, with the tracer
+  // armed. The exported trace must satisfy `trace_lint --flow-check` — at
+  // least one flow's async track spanning the rx thread, a worker, and a
+  // recovery.
   if (argc > 1) {
     obs::Tracer& tracer = obs::Tracer::Global();
     tracer.Arm(/*ring_capacity=*/1 << 16);
@@ -354,10 +279,10 @@ int main(int argc, char** argv) {
                       return std::make_unique<net::NullFilter>(
                           worker == 0 ? 31 : 0);
                     }});
-    const RunResult r = RunZipfPaced(4, true, 500, std::move(spec));
+    const RunResult r = RunZipfPaced(4, 500, std::move(spec));
     if (tracer.WriteChromeJson(argv[1])) {
-      std::printf("\ntrace: %s (steals=%" PRIu64 " faults=%" PRIu64 ")\n",
-                  argv[1], r.stats.totals.steals, r.stats.totals.faults);
+      std::printf("\ntrace: %s (faults=%" PRIu64 ")\n", argv[1],
+                  r.stats.totals.faults);
     }
     tracer.Disarm();
   }

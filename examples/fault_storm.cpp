@@ -20,8 +20,8 @@
 //     crash loop is deterministic) so it stays down under doubling cool-down
 //     instead of flapping back into service;
 //   * live checkpoint epochs complete while the storm is still firing, and a
-//     forced worker failover — its first resync attempt sabotaged — re-homes
-//     the victim's flows and restores its stage state from the snapshot;
+//     forced worker failover — its first resync attempt sabotaged —
+//     restores the victim's stage state from the snapshot;
 //   * healthy shards never notice any of it.
 #include <chrono>
 #include <cstdio>

@@ -105,11 +105,12 @@ class Reader {
   explicit Reader(const Snapshot& snapshot)
       : bytes_(snapshot.bytes), mode_(snapshot.mode) {}
 
+  // Length checks compare against remaining() rather than computing
+  // pos_ + len, which a corrupt 64-bit length would wrap.
   template <typename T>
   T ReadPod() {
     static_assert(std::is_trivially_copyable_v<T>);
-    LINSYS_ASSERT(pos_ + sizeof(T) <= bytes_.size(),
-                  "snapshot truncated or corrupt");
+    LINSYS_ASSERT(sizeof(T) <= remaining(), "snapshot truncated or corrupt");
     T value;
     std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
@@ -117,13 +118,16 @@ class Reader {
   }
 
   void ReadBytes(void* out, std::size_t len) {
-    LINSYS_ASSERT(pos_ + len <= bytes_.size(),
-                  "snapshot truncated or corrupt");
+    LINSYS_ASSERT(len <= remaining(), "snapshot truncated or corrupt");
     std::memcpy(out, bytes_.data() + pos_, len);
     pos_ += len;
   }
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
+  // Unread bytes. Every encoded element takes at least one byte, so a
+  // decoded element count may never exceed this — the bound Traits::Load
+  // puts on every allocation it sizes from the input.
+  std::size_t remaining() const { return bytes_.size() - pos_; }
   DedupMode mode() const { return mode_; }
 
   // Shared-node reconstruction: restored Rc handles, keyed by copy-id. The

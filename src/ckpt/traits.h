@@ -18,6 +18,7 @@
 #ifndef LINSYS_SRC_CKPT_TRAITS_H_
 #define LINSYS_SRC_CKPT_TRAITS_H_
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
 #include <map>
@@ -30,6 +31,7 @@
 
 #include "src/ckpt/snapshot.h"
 #include "src/lin/own.h"
+#include "src/util/panic.h"
 
 namespace ckpt {
 
@@ -61,6 +63,7 @@ struct Traits<std::string> {
   }
   static std::string Load(Reader& r) {
     const auto n = r.ReadPod<std::uint64_t>();
+    LINSYS_ASSERT(n <= r.remaining(), "snapshot truncated or corrupt");
     std::string s(n, '\0');
     r.ReadBytes(s.data(), n);
     return s;
@@ -80,7 +83,7 @@ struct Traits<std::vector<T>> {
   static std::vector<T> Load(Reader& r) {
     const auto n = r.ReadPod<std::uint64_t>();
     std::vector<T> v;
-    v.reserve(n);
+    v.reserve(std::min<std::uint64_t>(n, r.remaining()));
     for (std::uint64_t i = 0; i < n; ++i) {
       v.push_back(Traits<T>::Load(r));
     }
@@ -136,7 +139,7 @@ struct Traits<std::unordered_map<K, V>> {
   static std::unordered_map<K, V> Load(Reader& r) {
     const auto n = r.ReadPod<std::uint64_t>();
     std::unordered_map<K, V> m;
-    m.reserve(n);
+    m.reserve(std::min<std::uint64_t>(n, r.remaining()));
     for (std::uint64_t i = 0; i < n; ++i) {
       m.insert(Traits<std::pair<K, V>>::Load(r));
     }

@@ -34,15 +34,6 @@ std::string RuntimeStats::Summary() const {
     s += " steer_refused=" + std::to_string(steer_refused_sub_batches);
     s += " steer_dropped=" + std::to_string(steer_dropped_items);
   }
-  if (totals.steals > 0 || totals.steals_skipped > 0 || migrated_flows > 0 ||
-      migration_evictions > 0) {
-    s += " steals=" + std::to_string(totals.steals);
-    s += " steals_skipped=" + std::to_string(totals.steals_skipped);
-    s += " stolen_batches=" + std::to_string(totals.stolen_batches);
-    s += " stolen_items=" + std::to_string(totals.stolen_items);
-    s += " migrated_flows=" + std::to_string(migrated_flows);
-    s += " migration_evictions=" + std::to_string(migration_evictions);
-  }
   if (rx_batches > 0) {
     s += " rx_batches=" + std::to_string(rx_batches);
     s += " rx_pauses=" + std::to_string(rx_pauses);
@@ -53,7 +44,6 @@ std::string RuntimeStats::Summary() const {
     s += " ckpt_failures=" + std::to_string(ckpt_epoch_failures);
     s += " failovers=" + std::to_string(failovers);
     s += " failover_failures=" + std::to_string(failover_failures);
-    s += " rehomed_items=" + std::to_string(failover_rehomed_items);
     if (ckpt_restore_mismatches > 0) {
       s += " restore_mismatches=" + std::to_string(ckpt_restore_mismatches);
     }
@@ -69,7 +59,6 @@ std::string RuntimeStats::Summary() const {
   if (latency_queue_cycles.count > 0) {
     s += "\n  latency_queue_cycles: " + latency_queue_cycles.Summary();
     s += "\n  latency_service_cycles: " + latency_service_cycles.Summary();
-    s += "\n  latency_steal_cycles: " + latency_steal_cycles.Summary();
     s += "\n  latency_fence_cycles: " + latency_fence_cycles.Summary();
   }
   s += "\n  mempool: in_use=" + std::to_string(mempool_in_use);
@@ -96,11 +85,7 @@ std::string RuntimeStats::Summary() const {
 }
 
 Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
-    : config_(config),
-      // Live checkpointing arms the dispatcher's migration table too:
-      // failover re-homes flows through it even when stealing is off.
-      rss_(config.workers, config.queue_depth,
-           config.stealing.enabled || config.ckpt.enabled) {
+    : config_(config), rss_(config.workers, config.queue_depth) {
   LINSYS_ASSERT(config_.frame_len >= kPayloadOffset + kFlowSeqBytes,
                 "frame_len too small for the per-flow sequence stamp");
   LINSYS_ASSERT(!config_.ckpt.enabled || config_.isolated,
@@ -129,45 +114,30 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
   telemetry_.batch_cycles =
       registry_.GetHistogram("runtime.batch_cycles", shards);
   // Always-on SLO histogram: end-to-end dispatch→delivery latency per
-  // sub-batch, queue wait and migrations included. This is what the ops
-  // server windows into slo_p99/slo_p999 per /metrics/delta scrape, so it
-  // cannot be gated on arming — a live operator must always see it.
+  // sub-batch, queue wait included. This is what the ops server windows
+  // into slo_p99/slo_p999 per /metrics/delta scrape, so it cannot be gated
+  // on arming — a live operator must always see it.
   telemetry_.delivery_latency_cycles =
       registry_.GetHistogram("runtime.delivery_latency_cycles", shards);
   // Always-on decomposition of the SLO histogram. Every delivered sub-batch
-  // records all four components (zeros included) so the counts match the
-  // delivery histogram and the per-batch identity queue + service + steal +
-  // fence == delivery holds exactly on the sums (RecordDeliverySplit clamps
-  // to enforce it). The /metrics/delta SLO header breaks these out.
+  // records all three components (zeros included) so the counts match the
+  // delivery histogram and the per-batch identity queue + service + fence ==
+  // delivery holds exactly on the sums (RecordDelivery clamps to enforce
+  // it). The /metrics/delta SLO header breaks these out.
   telemetry_.latency_queue_cycles =
       registry_.GetHistogram("runtime.latency_queue_cycles", shards);
   telemetry_.latency_service_cycles =
       registry_.GetHistogram("runtime.latency_service_cycles", shards);
-  telemetry_.latency_steal_cycles =
-      registry_.GetHistogram("runtime.latency_steal_cycles", shards);
   telemetry_.latency_fence_cycles =
       registry_.GetHistogram("runtime.latency_fence_cycles", shards);
-  telemetry_.steals = registry_.GetCounter("runtime.steals_total", shards);
-  telemetry_.stolen_batches =
-      registry_.GetCounter("runtime.stolen_sub_batches_total", shards);
-  telemetry_.stolen_items =
-      registry_.GetCounter("runtime.stolen_items_total", shards);
-  telemetry_.steal_skipped =
-      registry_.GetCounter("runtime.steal_skipped_total", shards);
-  telemetry_.migration_evictions =
-      registry_.GetCounter("runtime.migration_evictions_total", shards);
   telemetry_.rx_batches = registry_.GetCounter("runtime.rx_batches_total");
   telemetry_.rx_pauses = registry_.GetCounter("runtime.rx_pauses_total");
-  telemetry_.steal_cycles =
-      registry_.GetHistogram("runtime.steal_cycles", shards);
   telemetry_.ckpt_epochs = registry_.GetCounter("runtime.ckpt_epochs_total");
   telemetry_.ckpt_epoch_failures =
       registry_.GetCounter("runtime.ckpt_epoch_failures_total");
   telemetry_.failovers = registry_.GetCounter("runtime.failovers_total");
   telemetry_.failover_failures =
       registry_.GetCounter("runtime.failover_failures_total");
-  telemetry_.failover_rehomed_items =
-      registry_.GetCounter("runtime.failover_rehomed_items_total");
   telemetry_.ckpt_restore_mismatches =
       registry_.GetCounter("runtime.ckpt_restore_mismatches_total");
   telemetry_.unquarantines =
@@ -180,8 +150,7 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
       registry_.GetHistogram("runtime.ckpt_pause_cycles", shards);
   telemetry_.failover_resync_cycles =
       registry_.GetHistogram("runtime.failover_resync_cycles");
-  // Imbalance is computed from live queue depths at scrape time — the same
-  // signal the stealing loop's victim selection reads.
+  // Imbalance is computed from live queue depths at scrape time.
   registry_.RegisterGaugeFn("runtime.queue_imbalance", [this] {
     return static_cast<std::int64_t>(rss_.QueueImbalance());
   });
@@ -349,9 +318,7 @@ std::string Runtime::HealthzJson() {
   out += ",\"workers\":" + std::to_string(workers_.size());
   out += ",\"quarantined_stage_replicas\":" + std::to_string(quarantined);
   out += ",\"failed_stage_replicas\":" + std::to_string(failed);
-  out += ",\"ckpt\":{\"fence\":";
-  out += ckpt_fence_.load(std::memory_order_acquire) ? "true" : "false";
-  out += ",\"gen\":" +
+  out += ",\"ckpt\":{\"gen\":" +
          std::to_string(ckpt_gen_.load(std::memory_order_acquire));
   out += ",\"epochs\":" + std::to_string(telemetry_.ckpt_epochs->Value());
   out += ",\"epoch_failures\":" +
@@ -383,40 +350,9 @@ void Runtime::WorkerMain(Worker& w) {
   // Scope per-worker fault plans ("net.worker:<i>/<site>") to this thread.
   util::FaultInjector::SetThreadTag("net.worker:" + std::to_string(w.index));
   auto& queue = rss_.queue(w.index);
-  const bool stealing = config_.stealing.enabled;
-  // Control nudges (empty FlowBatches) and the pop-time in-flight publish
-  // are needed by stealing AND by checkpoint/failover: the checkpoint driver
-  // nudges idle workers to a batch boundary, and failover's re-home reads
-  // popped_flows as its exclusion set.
-  const bool control = stealing || config_.ckpt.enabled;
-  // Runs under the channel lock at every dequeue: publishes the popped
-  // sub-batch's flow keys as in flight *atomically with the pop*, so a
-  // thief scanning this queue can never see those flows as neither queued
-  // nor in flight.
-  // No guard_mu here: popped_flows is serialized by the channel lock alone —
-  // this hook runs under it, and so does the thief's off-limits read (inside
-  // Steal's WithQueueLocked on this same channel). The registry is also never
-  // cleared after the batch completes: the next pop overwrites it wholesale,
-  // and until then the stale entries only make a thief skip flows this worker
-  // *recently* held — exclusion is allowed to be a superset. Both choices
-  // keep the per-batch cost to a vector rewrite of pre-computed keys.
-  auto publish = [&w](const FlowBatch& b) {
-    w.popped_flows.clear();
-    for (const FlowWork& fw : b) {
-      // Fan-out already stamped the flow key on the item; publishing is a
-      // handful of vector appends, not per-item tuple hashing.
-      w.popped_flows.push_back(fw.flow_key());
-    }
-  };
-  // With or without stealing, a worker with nothing to do sleeps in a plain
-  // blocking Recv — zero wakeups, zero polling. This is what makes stealing
-  // free when it cannot win: the original poll-park loop (timed receives
-  // plus a victim scan on every momentary queue drain) cost the Zipf bench
-  // ~16% in pure context-switch churn even with ZERO steals executed. Steal
-  // attempts are instead initiated by the supervisor, which wakes on its own
-  // watchdog cadence anyway: when it finds this worker idle next to a deep
-  // peer queue it enqueues an empty FlowBatch — a *steal nudge* — and the
-  // ordinary Recv wakeup runs the gated TrySteal below.
+  // A worker with nothing to do sleeps in a plain blocking Recv — zero
+  // wakeups, zero polling. The checkpoint driver wakes an idle worker with an
+  // empty FlowBatch (a nudge) so it reaches a batch boundary.
   while (true) {
     const std::size_t depth = queue.size();
     telemetry_.queue_depth->Set(w.index, static_cast<std::int64_t>(depth));
@@ -424,11 +360,11 @@ void Runtime::WorkerMain(Worker& w) {
     w.busy.store(false, std::memory_order_release);
     std::optional<lin::Own<FlowBatch>> handle;
     try {
-      // Profile attribution: CPU burned taking the queue (lock, publish,
-      // dequeue) is "pop"; a blocked Recv accrues no CPU time, so parked
-      // waits do not pollute the pop bucket.
+      // Profile attribution: CPU burned taking the queue (lock, dequeue) is
+      // "pop"; a blocked Recv accrues no CPU time, so parked waits do not
+      // pollute the pop bucket.
       obs::ScopedProfilerPhase pop_phase(obs::ProfilerPhase::kPop);
-      handle = control ? queue.Recv(publish) : queue.Recv();
+      handle = queue.Recv();
     } catch (const util::PanicError&) {
       // An injected channel.recv fault fires before the dequeue, so the
       // message is still queued: count the fault and take it next iteration.
@@ -441,36 +377,17 @@ void Runtime::WorkerMain(Worker& w) {
     }
     FlowBatch batch = handle->Take();
     // The queue→service split point: everything before this stamp is queue
-    // wait (or steal transit), everything after is service — except the
-    // fence pause charged just below.
+    // wait, everything after is service — except the fence pause charged
+    // just below.
     batch.set_pop_tsc(util::CycleStart());
     // Batch boundary: service an open checkpoint epoch before processing
     // the popped batch (which then simply replays on top of the snapshot).
     // The measured capture pause stalled *this* batch's delivery, so it is
     // charged to its fence component rather than smeared into service.
-    batch.add_fence_cycles(MaybeCaptureCheckpoint(w));
-    if (control && batch.empty()) {
-      // Supervisor steal nudge or checkpoint nudge (real sub-batches are
-      // never empty: FanOut only enqueues non-empty per-worker groups). Not
-      // counted as a batch — the dispatch-path counters must stay
-      // byte-identical to a stealing-off run when the gate never opens.
-      // Steals AND migration-table eviction stand down behind the
-      // checkpoint fence: the captured states and the table must stay
-      // mutually consistent for the epoch.
-      if (stealing && !ckpt_fence_.load(std::memory_order_acquire)) {
-        if (!TrySteal(w)) {
-          // Nothing worth stealing: an idle beat is also the safe moment to
-          // expire this worker's stale migration entries (its queue and
-          // in-flight set are empty, so an evicted flow has no work here).
-          const std::size_t evicted = rss_.EvictStaleMigrations(
-              w.index, config_.stealing.migration_ttl_dispatches);
-          if (evicted > 0) {
-            telemetry_.migration_evictions->Add(w.index, evicted);
-          }
-        }
-      }
-      // popped_flows is already empty: popping the nudge ran publish on an
-      // empty batch under the channel lock.
+    batch.set_fence_cycles(MaybeCaptureCheckpoint(w));
+    if (batch.empty()) {
+      // Checkpoint nudge (real sub-batches are never empty: Dispatch only
+      // enqueues non-empty per-worker groups). Not counted as a batch.
       continue;
     }
     w.busy.store(true, std::memory_order_release);
@@ -480,156 +397,6 @@ void Runtime::WorkerMain(Worker& w) {
   w.busy.store(false, std::memory_order_release);
   telemetry_.queue_depth->Set(w.index, 0);
   obs::Profiler::Global().UnregisterThisThread();
-}
-
-// Supervisor-side steal trigger: for every idle worker (empty queue, not
-// mid-batch) with at least one peer queue at min_victim_depth, enqueue an
-// empty FlowBatch as a steal nudge. The worker's ordinary blocking-Recv
-// wakeup then runs the gated TrySteal on its own thread (the gate and the
-// victim choice are re-evaluated there, with fresh depths). A worker whose
-// queue is non-empty is skipped — that also naturally dedupes nudges, since
-// an unconsumed nudge keeps the queue non-empty until the worker wakes.
-void Runtime::NudgeIdleThieves() {
-  const StealConfig& sc = config_.stealing;
-  const std::size_t min_depth =
-      sc.min_victim_depth == 0 ? 1 : sc.min_victim_depth;
-  std::size_t max_depth = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    max_depth = std::max(max_depth, rss_.queue(i).size());
-  }
-  if (max_depth < min_depth) {
-    return;
-  }
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    Worker& w = *workers_[i];
-    if (w.busy.load(std::memory_order_acquire) ||
-        rss_.queue(i).size() != 0) {
-      continue;
-    }
-    // Refused after shutdown (channel closed) — the returned batch carries
-    // no items, so dropping the rejection is loss-free.
-    (void)rss_.queue(i).Send(lin::Own<FlowBatch>::Make(FlowBatch{}));
-  }
-}
-
-bool Runtime::TrySteal(Worker& w) {
-  if (ckpt_fence_.load(std::memory_order_acquire)) {
-    return false;  // checkpoint epoch open: no flow may change homes
-  }
-  // Profile attribution: victim scoring, the steal itself, and the table
-  // updates are "steal"; ProcessFlows below nests back into "execute".
-  obs::ScopedProfilerPhase steal_phase(obs::ProfilerPhase::kSteal);
-  const StealConfig& sc = config_.stealing;
-  // Service-time-weighted victim selection: score each peer by estimated
-  // backlog drain cycles (queue depth × that worker's per-sub-batch service
-  // EWMA), not raw depth — depth 10 on a replica grinding 150k-cycle
-  // batches is a far better steal than depth 30 on one doing 600-cycle
-  // batches. Workers with no completed batch yet score on the config seed.
-  std::size_t victim_idx = SIZE_MAX;
-  double best_score = 0.0;
-  const std::size_t min_depth =
-      sc.min_victim_depth == 0 ? 1 : sc.min_victim_depth;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    if (i == w.index) {
-      continue;
-    }
-    const std::size_t depth = rss_.queue(i).size();
-    if (depth < min_depth) {
-      continue;
-    }
-    const std::uint64_t service =
-        workers_[i]->service_ewma_cycles.load(std::memory_order_relaxed);
-    const double score =
-        static_cast<double>(depth) *
-        static_cast<double>(service == 0 ? sc.service_seed_cycles : service);
-    if (score > best_score) {
-      best_score = score;
-      victim_idx = i;
-    }
-  }
-  if (victim_idx == SIZE_MAX) {
-    return false;
-  }
-  // Adaptive enablement: the thief is empty, so the victim's depth IS this
-  // worker's share of the queue_imbalance gauge. Steal only when the
-  // stealable slice of that backlog amortizes the measured cost of a steal
-  // — otherwise stealing self-disables and the refusal is counted.
-  const std::uint64_t cost_ewma =
-      steal_cost_ewma_.load(std::memory_order_relaxed);
-  const double steal_cost = static_cast<double>(
-      cost_ewma == 0 ? sc.steal_cost_seed_cycles : cost_ewma);
-  if (best_score * sc.max_fraction < sc.min_gain_factor * steal_cost) {
-    telemetry_.steal_skipped->Inc(w.index);
-    return false;
-  }
-  Worker& v = *workers_[victim_idx];
-  const bool armed = obs::MetricsArmed(obs::MetricGroup::kNet);
-  // Cycle the steal unconditionally: the cost EWMA needs every sample, not
-  // just armed-phase ones; the histogram stays gated on arming.
-  const std::uint64_t t0 = util::CycleStart();
-  auto result = rss_.Steal(
-      victim_idx, w.index,
-      // Off-limits set, read under the victim's channel lock: everything
-      // the victim holds (or recently held — stale entries are a safe
-      // superset) outside its queue. popped_flows is protected by that
-      // channel lock itself; guard_mu covers stolen_flows, which other
-      // thieves write outside it.
-      [&v] {
-        std::unordered_set<std::uint64_t> off(v.popped_flows.begin(),
-                                              v.popped_flows.end());
-        std::lock_guard<std::mutex> lock(v.guard_mu);
-        off.insert(v.stolen_flows.begin(), v.stolen_flows.end());
-        return off;
-      },
-      // Publish the stolen flows as OUR in-flight set before the steer
-      // lock drops: from this instant they route to us, and nobody can
-      // re-steal them until we finish the chain.
-      [&w](const auto& r) {
-        std::lock_guard<std::mutex> lock(w.guard_mu);
-        w.stolen_flows.insert(r.keys.begin(), r.keys.end());
-      },
-      sc.max_fraction);
-  if (result.batches.empty()) {
-    return false;
-  }
-  const std::uint64_t steal_cycles = util::CycleEnd() - t0;
-  // EWMA alpha 1/8; the racy read-modify-write only ever loses an update.
-  const std::uint64_t prev = steal_cost_ewma_.load(std::memory_order_relaxed);
-  steal_cost_ewma_.store(
-      prev == 0 ? steal_cycles : prev - prev / 8 + steal_cycles / 8,
-      std::memory_order_relaxed);
-  // Counter exemplar: the interval scrape's steals_total delta points back
-  // at one concrete flow track that actually migrated.
-  telemetry_.steals->IncWithExemplar(w.index,
-                                     result.batches.front().flow_id());
-  telemetry_.stolen_batches->Add(w.index, result.batches.size());
-  telemetry_.stolen_items->Add(w.index, result.items);
-  if (armed) {
-    telemetry_.steal_cycles->RecordWithExemplar(
-        w.index, steal_cycles, result.batches.front().flow_id());
-  }
-  // Process the stolen slices in queue order, before touching our own
-  // queue: any same-flow work dispatched after the migration sits behind
-  // these slices by construction.
-  for (FlowBatch& slice : result.batches) {
-    // The slice keeps its source sub-batch's flow id, so the steal shows up
-    // on the original dispatch's async track.
-    LINSYS_TRACE_ASYNC_INSTANT("flow.steal", "flow", slice.flow_id());
-    // Latency decomposition: the migration transit this slice survived goes
-    // to its steal component (additive — a re-stolen slice keeps both
-    // legs), and its queue time ends now: processing directly *is* the new
-    // home's pop.
-    slice.add_steal_cycles(steal_cycles);
-    slice.set_pop_tsc(util::CycleEnd());
-    w.busy.store(true, std::memory_order_release);
-    ProcessFlows(w, std::move(slice));
-    w.heartbeat.fetch_add(1, std::memory_order_release);
-  }
-  {
-    std::lock_guard<std::mutex> lock(w.guard_mu);
-    w.stolen_flows.clear();
-  }
-  return true;
 }
 
 std::size_t Runtime::MaxQueueDepth() {
@@ -711,10 +478,10 @@ void Runtime::RxMain(FlowFeeder* feeder, std::uint64_t batches) {
 }
 
 // Delivery-side terminus of the SLO clock: records the always-on
-// dispatch→delivery histogram plus its four-way additive decomposition.
+// dispatch→delivery histogram plus its three-way additive decomposition.
 // The split is exact by construction — clamps defend against a missing pop
 // stamp or cross-core TSC skew, and after them
-//   queue + service + steal + fence == delivery
+//   queue + service + fence == delivery
 // holds per batch on the nose (the histograms' exact `sum` fields therefore
 // decompose perfectly; quantiles inherit only bucketization error).
 void Runtime::RecordDelivery(Worker& w, const FlowBatch& flows) {
@@ -733,15 +500,12 @@ void Runtime::RecordDelivery(Worker& w, const FlowBatch& flows) {
   if (pop > end) {
     pop = end;
   }
-  std::uint64_t queue = pop - dispatch;
+  const std::uint64_t queue = pop - dispatch;
   std::uint64_t service = end - pop;
-  std::uint64_t steal = std::min(flows.steal_cycles(), queue);
-  queue -= steal;
-  std::uint64_t fence = std::min(flows.fence_cycles(), service);
+  const std::uint64_t fence = std::min(flows.fence_cycles(), service);
   service -= fence;
   telemetry_.latency_queue_cycles->Record(w.index, queue);
   telemetry_.latency_service_cycles->Record(w.index, service);
-  telemetry_.latency_steal_cycles->Record(w.index, steal);
   telemetry_.latency_fence_cycles->Record(w.index, fence);
 }
 
@@ -804,13 +568,6 @@ void Runtime::ProcessFlows(Worker& w, FlowBatch flows) {
     const std::uint64_t batch_cycles = util::CycleEnd() - t0;
     telemetry_.batch_cycles->RecordWithExemplar(w.index, batch_cycles,
                                                 flows.flow_id());
-    // Feed the per-worker service estimate steal-victim scoring reads
-    // (alpha 1/8; single writer — this worker).
-    const std::uint64_t ewma =
-        w.service_ewma_cycles.load(std::memory_order_relaxed);
-    w.service_ewma_cycles.store(
-        ewma == 0 ? batch_cycles : ewma - ewma / 8 + batch_cycles / 8,
-        std::memory_order_relaxed);
     if (!result.ok()) {
       // The in-flight batch was reclaimed during unwinding (still on this
       // thread, still this worker's pool). kFault = a fresh panic, worth
@@ -830,27 +587,22 @@ void Runtime::ProcessFlows(Worker& w, FlowBatch flows) {
     if (qdrop_delta > 0) {
       telemetry_.drops->Add(w.index, qdrop_delta);
     }
+    // Delivery: the SLO clock that started in Dispatch stops here. Always
+    // on — queue wait and checkpoint pauses this batch lived through are
+    // inside this number, which is exactly why it is the client-visible
+    // quantity. Recorded before the packet counters move, so a reader that
+    // sees every packet counted also sees every latency sample.
+    RecordDelivery(w, flows);
     telemetry_.packets->Add(w.index, out.size());
     telemetry_.batches->Inc(w.index);
-    // Delivery: the SLO clock that started in Dispatch stops here. Always
-    // on — queue wait, checkpoint pauses, and any steal/failover migration
-    // this batch lived through are all inside this number, which is exactly
-    // why it is the client-visible quantity.
-    RecordDelivery(w, flows);
   } else {
     try {
       const std::uint64_t t0 = util::CycleStart();
       PacketBatch out = w.direct.Run(std::move(batch));
-      const std::uint64_t batch_cycles = util::CycleEnd() - t0;
-      telemetry_.batch_cycles->Record(w.index, batch_cycles);
-      const std::uint64_t ewma =
-          w.service_ewma_cycles.load(std::memory_order_relaxed);
-      w.service_ewma_cycles.store(
-          ewma == 0 ? batch_cycles : ewma - ewma / 8 + batch_cycles / 8,
-          std::memory_order_relaxed);
+      telemetry_.batch_cycles->Record(w.index, util::CycleEnd() - t0);
+      RecordDelivery(w, flows);
       telemetry_.packets->Add(w.index, out.size());
       telemetry_.batches->Inc(w.index);
-      RecordDelivery(w, flows);
     } catch (const util::PanicError&) {
       // The direct flavour has no containment: the batch died mid-stage
       // and there is no domain to recover, only telemetry to keep.
@@ -968,12 +720,6 @@ void Runtime::SupervisorMain() {
       }
     }
 
-    // Steal nudges ride the same wake: stealing costs nothing while every
-    // worker is busy or every queue is shallow, because nobody polls.
-    if (config_.stealing.enabled) {
-      NudgeIdleThieves();
-    }
-
     lock.lock();
   }
   obs::Profiler::Global().UnregisterThisThread();
@@ -1027,10 +773,6 @@ bool Runtime::CheckpointLive() {
   }
   LINSYS_TRACE_SPAN("runtime.ckpt_epoch");
   const std::uint64_t t0 = util::CycleStart();
-  // Fence first, then open the epoch: a worker that sees the new gen is
-  // guaranteed to also see the fence, so no steal or migration eviction can
-  // run between its capture and the epoch's close.
-  ckpt_fence_.store(true, std::memory_order_release);
   const std::uint64_t gen =
       ckpt_gen_.fetch_add(1, std::memory_order_acq_rel) + 1;
   const auto deadline =
@@ -1076,7 +818,6 @@ bool Runtime::CheckpointLive() {
       ckpt_cv_.wait_for(lock, std::chrono::milliseconds(1));
     }
   }
-  ckpt_fence_.store(false, std::memory_order_release);
   if (!complete) {
     // Quiesce timed out (some worker never reached a boundary in time).
     // Nothing is installed; deposits for this gen are swept by the next
@@ -1139,30 +880,12 @@ bool Runtime::FailoverWorker(std::size_t victim) {
     LINSYS_TRACE_INSTANT_ARG("runtime.failover_fault", victim);
     return false;
   }
-  // Re-home the victim's queued flows to the survivors. The exclusion set
-  // is the victim's in-flight registry (same shape as a thief's off-limits
-  // read, evaluated under the victim's channel lock): its current batch
-  // finishes on the victim, so excluding it loses nothing. Contention with
-  // a dispatch or steal just means retry; if every attempt loses the race,
-  // the items simply stay queued at the victim — delayed, never lost.
-  Worker& v = *workers_[victim];
-  std::size_t rehomed = 0;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const auto moved = rss_.RehomeWorker(victim, [&v] {
-      std::unordered_set<std::uint64_t> off(v.popped_flows.begin(),
-                                            v.popped_flows.end());
-      std::lock_guard<std::mutex> lock(v.guard_mu);
-      off.insert(v.stolen_flows.begin(), v.stolen_flows.end());
-      return off;
-    });
-    if (moved.has_value()) {
-      rehomed = *moved;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
   // Restore the victim's stage state from its slice of the promoted image
-  // (the "resync" half: the replica becomes the worker's live state).
+  // (the "resync" half: the replica becomes the worker's live state). Its
+  // flows are pinned to it, so its queued sub-batches stay queued and replay
+  // on top of the restored state, as a batch popped after a checkpoint
+  // capture replays on the captured one.
+  Worker& v = *workers_[victim];
   for (const WorkerCkptImage& wi : ckpt_state_->primary().workers) {
     if (wi.index == victim) {
       std::lock_guard<std::mutex> lock(v.mu);
@@ -1183,9 +906,6 @@ bool Runtime::FailoverWorker(std::size_t victim) {
   // pull up to see what client work sat closest to the failover.
   telemetry_.failovers->IncWithExemplar(
       0, v.last_flow_id.load(std::memory_order_relaxed));
-  if (rehomed > 0) {
-    telemetry_.failover_rehomed_items->Add(rehomed);
-  }
   telemetry_.failover_resync_cycles->Record(util::CycleEnd() - t0);
   LINSYS_TRACE_INSTANT_ARG("runtime.failover_done", victim);
   return true;
@@ -1206,16 +926,12 @@ RuntimeStats Runtime::Stats() const {
   s.rejected_dispatches = telemetry_.rejected_dispatches->Value();
   s.steer_refused_sub_batches = rss_.refused_sub_batches();
   s.steer_dropped_items = rss_.dropped_items();
-  s.migrated_flows = rss_.migrated_flows();
-  s.migration_evictions = rss_.migration_evictions();
   s.rx_batches = telemetry_.rx_batches->Value();
   s.rx_pauses = telemetry_.rx_pauses->Value();
-  s.steal_cycles = telemetry_.steal_cycles->Snapshot();
   s.ckpt_epochs = telemetry_.ckpt_epochs->Value();
   s.ckpt_epoch_failures = telemetry_.ckpt_epoch_failures->Value();
   s.failovers = telemetry_.failovers->Value();
   s.failover_failures = telemetry_.failover_failures->Value();
-  s.failover_rehomed_items = telemetry_.failover_rehomed_items->Value();
   s.ckpt_restore_mismatches = telemetry_.ckpt_restore_mismatches->Value();
   s.unquarantines = telemetry_.unquarantines->Value();
   s.requarantines = telemetry_.requarantines->Value();
@@ -1227,7 +943,6 @@ RuntimeStats Runtime::Stats() const {
   s.delivery_latency_cycles = telemetry_.delivery_latency_cycles->Snapshot();
   s.latency_queue_cycles = telemetry_.latency_queue_cycles->Snapshot();
   s.latency_service_cycles = telemetry_.latency_service_cycles->Snapshot();
-  s.latency_steal_cycles = telemetry_.latency_steal_cycles->Snapshot();
   s.latency_fence_cycles = telemetry_.latency_fence_cycles->Snapshot();
   s.stages.resize(stage_names_.size());
   for (std::size_t i = 0; i < stage_names_.size(); ++i) {
@@ -1244,10 +959,6 @@ RuntimeStats Runtime::Stats() const {
     t.faults = telemetry_.faults->ShardValue(w->index);
     t.recoveries = telemetry_.recoveries->ShardValue(w->index);
     t.stalls = telemetry_.stalls->ShardValue(w->index);
-    t.steals = telemetry_.steals->ShardValue(w->index);
-    t.steals_skipped = telemetry_.steal_skipped->ShardValue(w->index);
-    t.stolen_batches = telemetry_.stolen_batches->ShardValue(w->index);
-    t.stolen_items = telemetry_.stolen_items->ShardValue(w->index);
     t.queue_hwm = static_cast<std::size_t>(
         telemetry_.queue_hwm->ShardValue(w->index));
     const Mempool::CountersView pool = w->pool.Counters();
@@ -1285,10 +996,6 @@ RuntimeStats Runtime::Stats() const {
     s.totals.recoveries += t.recoveries;
     s.totals.recovery_panics += t.recovery_panics;
     s.totals.stalls += t.stalls;
-    s.totals.steals += t.steals;
-    s.totals.steals_skipped += t.steals_skipped;
-    s.totals.stolen_batches += t.stolen_batches;
-    s.totals.stolen_items += t.stolen_items;
     s.totals.quarantined += t.quarantined;
     s.totals.queue_hwm = std::max(s.totals.queue_hwm, t.queue_hwm);
     s.packets_per_worker.Add(static_cast<double>(t.packets));

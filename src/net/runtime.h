@@ -50,7 +50,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -79,15 +78,8 @@ namespace net {
 struct FlowWork {
   FiveTuple tuple;
   std::uint64_t seq = 0;
-  // Seeded tuple hash, stamped once by the dispatcher's fan-out (which
-  // computes it anyway to route the item). The worker's pop-time publish
-  // and the thief's queue scans reuse it instead of re-running FNV over the
-  // tuple bytes per item on the hot path.
-  std::uint64_t cached_key = 0;
 
   const FiveTuple& Tuple() const { return tuple; }
-  std::uint64_t flow_key() const { return cached_key; }
-  void set_flow_key(std::uint64_t key) { cached_key = key; }
 };
 
 // Batch of flow descriptors — the Batch concept BasicRssDispatcher needs.
@@ -111,39 +103,28 @@ class FlowBatch {
   std::uint64_t flow_id() const { return flow_id_; }
   void set_flow_id(std::uint64_t id) { flow_id_ = id; }
 
-  // Dispatch-time cycle stamp (0 = unstamped), carried through fan-out,
-  // steal slices, and failover re-homing exactly like flow_id, so the
-  // delivery-side read measures true end-to-end latency — including queue
-  // wait and any migration the batch survived — not just pipeline time.
+  // Dispatch-time cycle stamp (0 = unstamped), carried through fan-out
+  // exactly like flow_id, so the delivery-side read measures true
+  // end-to-end latency — including queue wait — not just pipeline time.
   std::uint64_t dispatch_tsc() const { return dispatch_tsc_; }
   void set_dispatch_tsc(std::uint64_t tsc) { dispatch_tsc_ = tsc; }
 
-  // Pop-time cycle stamp (0 = unstamped): when the batch's final home took
-  // it off a queue — handle->Take() on the owning worker, or steal
-  // completion for a stolen slice. Splits delivery latency into its queue
+  // Pop-time cycle stamp (0 = unstamped): when the owning worker took the
+  // batch off its queue. Splits delivery latency into its queue
   // (dispatch→pop) and service (pop→delivery) halves.
   std::uint64_t pop_tsc() const { return pop_tsc_; }
   void set_pop_tsc(std::uint64_t tsc) { pop_tsc_ = tsc; }
 
-  // Accumulated cycles this batch spent in steal transit (victim-queue scan
-  // + migration-table update + slice split) before its new home popped it.
-  // Additive: a twice-migrated slice carries both legs.
-  std::uint64_t steal_cycles() const { return steal_cycles_; }
-  void set_steal_cycles(std::uint64_t c) { steal_cycles_ = c; }
-  void add_steal_cycles(std::uint64_t c) { steal_cycles_ += c; }
-
-  // Accumulated cycles the batch stalled behind a raised checkpoint fence
-  // (the capture pause taken between its pop and its processing).
+  // Cycles the batch stalled behind a checkpoint capture (the pause its
+  // worker took between popping it and processing it).
   std::uint64_t fence_cycles() const { return fence_cycles_; }
   void set_fence_cycles(std::uint64_t c) { fence_cycles_ = c; }
-  void add_fence_cycles(std::uint64_t c) { fence_cycles_ += c; }
 
  private:
   std::vector<FlowWork> work_;
   std::uint64_t flow_id_ = 0;
   std::uint64_t dispatch_tsc_ = 0;
   std::uint64_t pop_tsc_ = 0;
-  std::uint64_t steal_cycles_ = 0;
   std::uint64_t fence_cycles_ = 0;
 };
 
@@ -216,43 +197,6 @@ struct SupervisionConfig {
   std::uint64_t probation_cooldown_max = 1 << 20;
 };
 
-// Work-stealing knobs. Off by default: the hash-pinned fast path is then
-// byte-for-byte the pre-stealing dispatcher.
-struct StealConfig {
-  bool enabled = false;
-  // A victim queue must hold at least this many sub-batches to be worth
-  // stealing from (below it, migration churn beats the balance gain) — and
-  // for the supervisor to nudge an idle worker at all. Idle workers do not
-  // poll for victims: they sleep in a plain blocking receive, and the
-  // supervisor (on its watchdog cadence, SupervisionConfig::
-  // watchdog_period_ms) wakes one with an empty "nudge" batch when a peer
-  // queue is this deep. Steal latency is therefore bounded by the watchdog
-  // period, and steal overhead on a balanced system is zero.
-  std::size_t min_victim_depth = 2;
-  // Adaptive enablement: a steal is only attempted when the chosen victim's
-  // estimated stealable backlog — queue depth (the worker's share of the
-  // runtime.queue_imbalance gauge; the thief is empty) × its EWMA per-sub-
-  // batch service cycles × max_fraction — exceeds min_gain_factor × the
-  // EWMA-estimated cost of one steal. Below that, stealing self-disables
-  // and the attempt is counted in runtime.steal_skipped_total. 0 restores
-  // unconditional stealing.
-  double min_gain_factor = 2.0;
-  // Seeds for the two EWMAs before their first real sample: the amortized
-  // cost of one steal (the committed BENCH_parallel baseline put its p50 at
-  // ~25.6k cycles) and a worker's per-sub-batch service time.
-  std::uint64_t steal_cost_seed_cycles = 25000;
-  std::uint64_t service_seed_cycles = 2000;
-  // Steal quantum: the fraction of the victim's queued items one steal may
-  // take. Half the queue (the original quantum) re-homes far more flows
-  // than the imbalance warrants; a quarter keeps migration churn bounded.
-  double max_fraction = 0.25;
-  // Migration-table TTL in Dispatch() calls: an entry not refreshed by a
-  // steal for this long is evicted once its home worker is idle with an
-  // empty queue (the flow then simply re-homes to its hash slot on its next
-  // dispatch). 0 = never evict.
-  std::uint64_t migration_ttl_dispatches = 4096;
-};
-
 // Paced rx thread (RuntimeConfig::paced_rx): a dedicated producer that
 // pulls from a FlowFeeder and paces Dispatch against per-queue high-water
 // marks instead of blocking inside a full channel.
@@ -267,9 +211,7 @@ struct PacedRxConfig {
 };
 
 // Live checkpointing & failover (Runtime::CheckpointLive/FailoverWorker).
-// Requires `isolated` pipelines; arming it also arms the dispatcher's
-// migration table (failover re-homes flows through it) even with stealing
-// off.
+// Requires `isolated` pipelines.
 struct CkptConfig {
   bool enabled = false;
   // Backup replicas behind the runtime snapshot (ckpt::ReplicatedState).
@@ -294,7 +236,6 @@ struct RuntimeConfig {
   // which are always fully fused by construction.
   PipelineSchedule schedule;
   SupervisionConfig supervision;
-  StealConfig stealing;
   PacedRxConfig paced_rx;
   CkptConfig ckpt;
   // Live ops endpoint (obs::OpsServer): started with the runtime when
@@ -330,10 +271,6 @@ struct WorkerTelemetry {
   std::uint64_t recoveries = 0;  // stage domains re-exported for this worker
   std::uint64_t recovery_panics = 0;  // recovery fns contained mid-panic
   std::uint64_t stalls = 0;      // watchdog stuck-worker detections
-  std::uint64_t steals = 0;          // successful steals by this worker
-  std::uint64_t stolen_batches = 0;  // sub-batch slices it took
-  std::uint64_t stolen_items = 0;    // flow descriptors it took
-  std::uint64_t steals_skipped = 0;  // attempts the adaptive gate refused
   std::size_t quarantined = 0;   // stages currently quarantined on this shard
   std::size_t queue_hwm = 0;     // steering-queue depth high-water mark
 };
@@ -367,18 +304,14 @@ struct RuntimeStats {
   // refused at dispatch, and the flow descriptors dropped with them.
   std::uint64_t steer_refused_sub_batches = 0;
   std::uint64_t steer_dropped_items = 0;
-  // Work stealing / paced rx.
-  std::size_t migrated_flows = 0;      // flows homed away from their hash home
-  std::uint64_t migration_evictions = 0;  // stale table entries TTL-evicted
+  // Paced rx.
   std::uint64_t rx_batches = 0;        // bursts dispatched by the rx thread
   std::uint64_t rx_pauses = 0;         // high-water pauses the rx thread took
-  obs::HistogramSnapshot steal_cycles; // cost of each successful steal
   // Live checkpointing & failover.
   std::uint64_t ckpt_epochs = 0;          // snapshots installed
   std::uint64_t ckpt_epoch_failures = 0;  // epochs abandoned (timeout/fault)
   std::uint64_t failovers = 0;            // completed worker failovers
   std::uint64_t failover_failures = 0;    // failovers refused by a fault
-  std::uint64_t failover_rehomed_items = 0;  // items moved off failed workers
   // Stage images a restore refused because they named a stage the pipeline
   // does not have (checkpoint taken under a different pipeline shape).
   std::uint64_t ckpt_restore_mismatches = 0;
@@ -391,17 +324,16 @@ struct RuntimeStats {
   // histogram snapshot: sum(buckets) == count even while workers run).
   obs::HistogramSnapshot batch_cycles;
   // End-to-end delivery latency per sub-batch: dispatch-time stamp to
-  // delivery, queue wait and any steal/failover migration included. This is
-  // the client-visible SLO quantity the ops server windows per delta scrape.
+  // delivery, queue wait included. This is the client-visible SLO quantity
+  // the ops server windows per delta scrape.
   obs::HistogramSnapshot delivery_latency_cycles;
   // Additive decomposition of delivery latency, recorded per delivered
-  // sub-batch (all four every time, zeros included, so the counts match and
-  // queue + service + steal + fence == delivery exactly on the sums):
-  // queue = dispatch→pop wait, service = pop→delivery minus fence, steal =
-  // migration transit, fence = checkpoint-capture stall.
+  // sub-batch (all three every time, zeros included, so the counts match and
+  // queue + service + fence == delivery exactly on the sums):
+  // queue = dispatch→pop wait, service = pop→delivery minus fence, fence =
+  // checkpoint-capture stall.
   obs::HistogramSnapshot latency_queue_cycles;
   obs::HistogramSnapshot latency_service_cycles;
-  obs::HistogramSnapshot latency_steal_cycles;
   obs::HistogramSnapshot latency_fence_cycles;
   // Mempool occupancy across all worker pools at scrape time.
   std::uint64_t mempool_in_use = 0;
@@ -440,10 +372,10 @@ class Runtime {
     // and net metrics are off: one relaxed RMW per *batch*.
     const std::uint64_t flow_id = obs::NextFlowId();
     batch.set_flow_id(flow_id);
-    // SLO clock starts now: the stamp rides the batch (and its sub-batches,
-    // steal slices, and failover re-homes) to delivery, where the always-on
-    // runtime.delivery_latency_cycles histogram reads it. Cost here is one
-    // cycle read + one plain store per dispatched *batch*.
+    // SLO clock starts now: the stamp rides the batch (and its sub-batches)
+    // to delivery, where the always-on runtime.delivery_latency_cycles
+    // histogram reads it. Cost here is one cycle read + one plain store per
+    // dispatched *batch*.
     batch.set_dispatch_tsc(util::CycleStart());
     LINSYS_TRACE_ASYNC_SPAN("flow.dispatch", "flow", flow_id);
     const bool armed = obs::MetricsArmed(obs::MetricGroup::kNet);
@@ -464,9 +396,8 @@ class Runtime {
     return true;
   }
 
-  // Which worker a flow is pinned to. Stable for the runtime's lifetime
-  // when stealing is off; with stealing on, a steal may repoint a flow (the
-  // answer reflects the migration table at call time).
+  // Which worker a flow is pinned to: hash % workers, stable for the
+  // runtime's lifetime.
   std::size_t WorkerFor(const FiveTuple& tuple) const {
     return rss_.WorkerForTuple(tuple);
   }
@@ -495,8 +426,7 @@ class Runtime {
   // combined image is installed into the replicated runtime snapshot.
   // Dispatch keeps accepting throughout — queues absorb each worker's
   // capture pause (measured per worker in runtime.ckpt_pause_cycles, flow
-  // exemplars attached) — and steals/migration-table mutations are fenced
-  // for the duration of the epoch. Returns false (installing nothing, with
+  // exemplars attached). Returns false (installing nothing, with
   // runtime.ckpt_epoch_failures_total counting it) when the quiesce times
   // out, a replica restore faults (injected ckpt.replica_restore), or the
   // runtime is not accepting. Serialized with FailoverWorker; safe to call
@@ -505,16 +435,16 @@ class Runtime {
 
   // Fails worker `victim` over to the replicated snapshot: promotes a
   // replica (ckpt::ReplicatedState::Failover — the injectable
-  // ckpt.failover_resync point fires inside), re-homes the victim's queued
-  // flows to the survivors via the migration table, and restores the
-  // victim's stage state from the promoted image. The victim thread keeps
-  // running — "failure" here is the state-loss event, and the restored
-  // replica state plus re-homed flows are the resync. Exactly-once holds
-  // across the event: every dispatched item is either processed by a
-  // survivor, still queued, or counted dropped. Returns false — counted in
-  // runtime.failover_failures_total, with no Runtime state mutated — when no
-  // snapshot exists yet or the resync faults (retryable). Requires
-  // ckpt.enabled and at least 2 workers.
+  // ckpt.failover_resync point fires inside) and restores the victim's stage
+  // state from the promoted image. The victim thread keeps running —
+  // "failure" here is the state-loss event, and the restored replica state
+  // is the resync. Flows stay pinned: the victim's queued sub-batches stay
+  // queued and replay on top of the restored state, as a batch popped after
+  // a checkpoint capture does. Exactly-once holds across the event: every
+  // dispatched item is processed, still queued, or counted dropped. Returns
+  // false — counted in runtime.failover_failures_total, with no Runtime
+  // state mutated — when no snapshot exists yet or the resync faults
+  // (retryable). Requires ckpt.enabled and at least 2 workers.
   bool FailoverWorker(std::size_t victim);
 
   // Copy of the current primary snapshot (empty image before the first
@@ -553,33 +483,6 @@ class Runtime {
     // counters live in the runtime's registry, sharded by worker index.)
     std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> heartbeat{0};
-    // EWMA of this worker's per-sub-batch service time in cycles (0 until
-    // the first completed batch). Written by the owning worker only, read
-    // relaxed by idle peers scoring steal victims: a deep queue on a slow
-    // replica is worth far more to a thief than the same depth on a fast
-    // one. An estimator, so torn precision is acceptable; torn values are
-    // not (hence the atomic).
-    std::atomic<std::uint64_t> service_ewma_cycles{0};
-    // In-flight flow registry: the flow keys of work this worker holds
-    // *outside* its queue — the sub-batch it most recently popped (published
-    // under the channel lock via the Recv on_pop hook) and any stolen chain
-    // it has not finished. Thieves read the union (under the victim's
-    // channel lock) and never steal an in-flight flow, which is what makes a
-    // stolen flow's items processable immediately: no older items of that
-    // flow can exist anywhere but the slices the thief now holds. See
-    // DESIGN.md "Flow pinning vs. work stealing".
-    //
-    // Synchronization is asymmetric, tuned for the pop path: popped_flows is
-    // a flat vector of fan-out-cached keys, rewritten wholesale at every pop
-    // and serialized by the worker's *channel lock* (publish runs under it;
-    // so does the thief's off-limits read, inside Steal's WithQueueLocked).
-    // It is never cleared after a batch completes — stale entries are a
-    // conservative superset, the next pop overwrites them. guard_mu covers
-    // only stolen_flows, which a thief writes from its own thread while
-    // other thieves read it under the victim's channel lock.
-    std::mutex guard_mu;
-    std::vector<std::uint64_t> popped_flows;
-    std::unordered_set<std::uint64_t> stolen_flows;
     // Checkpoint-epoch cursor, touched only by the owning worker thread: the
     // last ckpt_gen_ this worker captured for. A mismatch at a batch
     // boundary triggers MaybeCaptureCheckpoint.
@@ -606,18 +509,12 @@ class Runtime {
     obs::Counter* stalls = nullptr;
     obs::Counter* rejected_dispatches = nullptr;
     obs::Counter* dispatch_faults = nullptr;
-    obs::Counter* steals = nullptr;
-    obs::Counter* stolen_batches = nullptr;
-    obs::Counter* stolen_items = nullptr;
-    obs::Counter* steal_skipped = nullptr;
-    obs::Counter* migration_evictions = nullptr;
     obs::Counter* rx_batches = nullptr;
     obs::Counter* rx_pauses = nullptr;
     obs::Counter* ckpt_epochs = nullptr;
     obs::Counter* ckpt_epoch_failures = nullptr;
     obs::Counter* failovers = nullptr;
     obs::Counter* failover_failures = nullptr;
-    obs::Counter* failover_rehomed_items = nullptr;
     obs::Counter* ckpt_restore_mismatches = nullptr;
     obs::Counter* unquarantines = nullptr;
     obs::Counter* requarantines = nullptr;
@@ -628,10 +525,8 @@ class Runtime {
     // Always-on decomposition of the SLO histogram (see RuntimeStats).
     obs::Histogram* latency_queue_cycles = nullptr;
     obs::Histogram* latency_service_cycles = nullptr;
-    obs::Histogram* latency_steal_cycles = nullptr;
     obs::Histogram* latency_fence_cycles = nullptr;
     obs::Histogram* dispatch_cycles = nullptr;  // kNet-armed only
-    obs::Histogram* steal_cycles = nullptr;
     obs::Histogram* ckpt_pause_cycles = nullptr;      // per-worker shards
     obs::Histogram* failover_resync_cycles = nullptr;
   };
@@ -639,19 +534,9 @@ class Runtime {
   void WorkerMain(Worker& w);
   void ProcessFlows(Worker& w, FlowBatch flows);
   // Records delivery_latency_cycles plus its exact additive decomposition
-  // (queue/service/steal/fence) for a delivered batch. No-op when the batch
+  // (queue/service/fence) for a delivered batch. No-op when the batch
   // carries no dispatch stamp.
   void RecordDelivery(Worker& w, const FlowBatch& flows);
-  // Attempts one steal for idle worker `w`; processes the stolen slices
-  // in order before returning. True if anything was stolen and processed.
-  // Victim choice is service-time-weighted (depth × the victim's service
-  // EWMA) and the attempt is skipped — counted in steal_skipped_total —
-  // when the stealable backlog is not worth the EWMA-estimated steal cost.
-  bool TrySteal(Worker& w);
-  // Supervisor-side: wakes each idle worker with an empty nudge batch when
-  // some peer queue reaches min_victim_depth; the worker then runs the
-  // gated TrySteal on its own thread.
-  void NudgeIdleThieves();
   void RxMain(FlowFeeder* feeder, std::uint64_t batches);
   std::size_t MaxQueueDepth();
   void SupervisorMain();
@@ -666,17 +551,12 @@ class Runtime {
   // charge the stall to the batch it delayed (latency_fence_cycles).
   std::uint64_t MaybeCaptureCheckpoint(Worker& w);
   // /healthz body for the ops server: lifecycle, quarantine census, and
-  // checkpoint fence/epoch state. Runs on the server thread while workers
+  // checkpoint epoch state. Runs on the server thread while workers
   // are live (per-stage health is read under each worker's mutex).
   std::string HealthzJson();
 
   RuntimeConfig config_;
   BasicRssDispatcher<FlowBatch> rss_;
-  // EWMA of the measured cost of one successful steal, in cycles (0 until
-  // the first steal; the gate then falls back to
-  // StealConfig::steal_cost_seed_cycles). Updated racily by thieves — an
-  // estimator, not an invariant.
-  std::atomic<std::uint64_t> steal_cost_ewma_{0};
   // Declared before workers_ so worker threads (joined in ~Worker via
   // Shutdown) can never outlive the metrics they write to.
   obs::Registry registry_;
@@ -713,21 +593,18 @@ class Runtime {
 
   // Live-checkpoint epoch state. ckpt_driver_mu_ serializes CheckpointLive
   // with FailoverWorker (one driver at a time). The epoch protocol itself:
-  // the driver bumps ckpt_gen_ and raises ckpt_fence_; each worker compares
-  // ckpt_gen_ to its thread-local cursor at batch boundaries, captures, and
-  // deposits a (gen, image) pair into ckpt_pending_ under ckpt_mu_; the
-  // driver collects until all workers deposited for the current gen or the
-  // quiesce timeout passes. Deposits carry the gen so a straggler from an
-  // abandoned epoch can never pollute the next one. ckpt_fence_ makes
-  // TrySteal and migration eviction stand down during the epoch, so the
-  // captured per-worker states and the migration table are mutually
-  // consistent (no flow changes homes mid-epoch).
+  // the driver bumps ckpt_gen_; each worker compares ckpt_gen_ to its
+  // thread-local cursor at batch boundaries, captures, and deposits a
+  // (gen, image) pair into ckpt_pending_ under ckpt_mu_; the driver collects
+  // until all workers deposited for the current gen or the quiesce timeout
+  // passes. Deposits carry the gen so a straggler from an abandoned epoch can
+  // never pollute the next one. No flow changes workers, so the per-worker
+  // captures need no fence to be mutually consistent.
   std::mutex ckpt_driver_mu_;
   std::mutex ckpt_mu_;
   std::condition_variable ckpt_cv_;
   std::vector<std::pair<std::uint64_t, WorkerCkptImage>> ckpt_pending_;
   std::atomic<std::uint64_t> ckpt_gen_{0};
-  std::atomic<bool> ckpt_fence_{false};
   std::uint64_t ckpt_epoch_seq_ = 0;  // under ckpt_driver_mu_
   // The replicated snapshot; created on the first successful epoch. Guarded
   // by ckpt_driver_mu_.

@@ -100,7 +100,8 @@ class Counter {
   // Add plus exemplar: when `trace_id` != 0, stamps the counter's exemplar
   // cell with (n, trace_id) — the same last-writer-wins discipline as the
   // histogram bucket exemplars, two extra relaxed stores. A scrape can then
-  // link "steals happened this interval" to one concrete flow's trace track.
+  // link "failovers happened this interval" to one concrete flow's trace
+  // track.
   void AddWithExemplar(std::size_t shard, std::uint64_t n,
                        std::uint64_t trace_id) {
     Add(shard, n);

@@ -368,7 +368,7 @@ std::string OpsServer::MetricsDeltaBody() {
   // The SLO header pulls the configured latency histogram's *interval*
   // quantiles to the top so a scraper can alert on slo_p99_cycles without
   // digging through the full delta (which still follows, for correlation
-  // with ckpt_epochs/failovers/steals deltas in the same window).
+  // with ckpt_epochs/failovers deltas in the same window).
   std::string out = "{\"slo\":{\"metric\":\"" + config_.slo_metric + "\"";
   const HistogramSnapshot* slo = nullptr;
   for (const auto& h : d.histograms) {
@@ -385,8 +385,8 @@ std::string OpsServer::MetricsDeltaBody() {
   } else {
     out += ",\"samples\":0";
   }
-  // Delivery-latency decomposition: the four additive components the runtime
-  // records per batch (queue+service+steal+fence == delivery, exactly, by
+  // Delivery-latency decomposition: the three additive components the runtime
+  // records per batch (queue+service+fence == delivery, exactly, by
   // construction). Quantiles are per-component, so p50s sum to roughly the
   // delivery p50 (bucketization error only); means sum exactly. A scraper
   // reads this header and knows *where* the p99 went without a second poll.
@@ -396,7 +396,6 @@ std::string OpsServer::MetricsDeltaBody() {
   } kComponents[] = {
       {"queue", "runtime.latency_queue_cycles"},
       {"service", "runtime.latency_service_cycles"},
-      {"steal", "runtime.latency_steal_cycles"},
       {"fence", "runtime.latency_fence_cycles"},
   };
   std::string components;
@@ -419,7 +418,7 @@ std::string OpsServer::MetricsDeltaBody() {
   if (!components.empty()) {
     out += ",\"components\":{" + components + "}";
   }
-  // Gauge levels (steal debt, inflight, ring depth...) ride in the header
+  // Gauge levels (queue imbalance, inflight, ring depth...) ride in the header
   // too: they are the "what is the system doing right now" complement to the
   // interval quantiles, and a delta-only scraper would otherwise miss them.
   if (!d.gauges.empty()) {

@@ -5,7 +5,7 @@
 // harness scrapes the registry and dumps the tracer after Shutdown. The ops
 // server turns the same data into a live surface — point obs_scrape (or
 // curl --unix-socket, or a browser via the TCP loopback option) at a running
-// fault_storm and watch steals, quarantines, checkpoint epochs, and the SLO
+// fault_storm and watch faults, quarantines, checkpoint epochs, and the SLO
 // latency histogram move while the mechanisms fire.
 //
 // Endpoints (GET only, HTTP/1.0, Connection: close):

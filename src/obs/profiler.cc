@@ -41,8 +41,6 @@ const char* ProfilerPhaseName(ProfilerPhase p) {
       return "execute";
     case ProfilerPhase::kRecover:
       return "recover";
-    case ProfilerPhase::kSteal:
-      return "steal";
     case ProfilerPhase::kCkptCapture:
       return "ckpt-capture";
   }
@@ -100,7 +98,7 @@ void ProfSignalHandler(int /*signo*/, siginfo_t* si, void* /*uctx*/) {
   const std::uint8_t phase = st->ctx.phase.load(std::memory_order_relaxed);
   const char* stage = st->ctx.stage.load(std::memory_order_relaxed);
   if (phase != static_cast<std::uint8_t>(ProfilerPhase::kExecute)) {
-    // Only execute is refined by stage; pop/steal/etc. inside a stage's
+    // Only execute is refined by stage; pop/recover/etc. inside a stage's
     // dynamic extent still fold to their own phase frame.
     stage = nullptr;
   }

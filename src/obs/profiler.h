@@ -4,7 +4,7 @@
 // The tracer answers "what happened, when"; the profiler answers "where did
 // the CPU go" — without frame-pointer unwinding. Each registered thread
 // (workers, rx, supervisor) keeps a tiny TLS context block: the current
-// *phase* (pop / execute / recover / steal / ckpt-capture / idle), the
+// *phase* (pop / execute / recover / ckpt-capture / idle), the
 // current pipeline stage name, and the current flow id. A POSIX per-thread
 // CPU-time timer (timer_create on the thread's cpuclock, SIGEV_THREAD_ID,
 // SIGPROF) interrupts the thread on its own CPU consumption; the signal
@@ -45,11 +45,10 @@ enum class ProfilerPhase : std::uint8_t {
   kPop = 1,
   kExecute = 2,
   kRecover = 3,
-  kSteal = 4,
-  kCkptCapture = 5,
+  kCkptCapture = 4,
 };
 
-inline constexpr int kProfilerPhaseCount = 6;
+inline constexpr int kProfilerPhaseCount = 5;
 
 // Folded-frame name for a phase ("idle", "pop", ...).
 const char* ProfilerPhaseName(ProfilerPhase p);

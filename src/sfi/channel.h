@@ -18,7 +18,6 @@
 #define LINSYS_SRC_SFI_CHANNEL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -34,8 +33,7 @@ namespace sfi {
 // Tri-state receive outcome. kEmpty means "nothing *right now*" — the
 // channel is still open and a later receive may succeed; kClosed means the
 // channel is closed AND drained, so no receive will ever succeed again. A
-// spin-polling consumer (e.g. a work-stealing worker loop) terminates on
-// kClosed and keeps polling on kEmpty.
+// polling consumer terminates on kClosed and keeps polling on kEmpty.
 enum class RecvStatus { kValue, kEmpty, kClosed };
 
 template <typename T>
@@ -93,13 +91,7 @@ class Channel {
   }
 
   // Blocks until a message or close; nullopt only after close-and-drained.
-  // `on_pop` runs under the channel lock with a const view of the message
-  // just before it is handed out: consumers use it to publish "this work is
-  // now in flight" atomically with the dequeue, so a concurrent steal (which
-  // also runs under this lock) can never observe the message as neither
-  // queued nor in flight.
-  template <typename OnPop>
-  std::optional<lin::Own<T>> Recv(OnPop&& on_pop) {
+  std::optional<lin::Own<T>> Recv() {
     // Same discipline as Send: fire before taking the lock, so a panicking
     // receiver never dequeues (the message stays for the next Recv).
     LINSYS_FAULT_POINT("channel.recv");
@@ -108,80 +100,19 @@ class Channel {
     if (queue_.empty()) {
       return std::nullopt;
     }
-    return PopLocked(lock, on_pop);
-  }
-
-  std::optional<lin::Own<T>> Recv() {
-    return Recv([](const T&) {});
+    return PopLocked(lock);
   }
 
   // Non-blocking tri-state receive (see RecvStatus). Does not fire the
-  // channel.recv fault point: the stealing loop calls this at high frequency
-  // and an every-Nth plan would alias with the blocking path's schedule.
-  template <typename OnPop>
-  TryRecvResult<T> TryRecv(OnPop&& on_pop) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.empty()) {
-      return TryRecvResult<T>{closed_ ? RecvStatus::kClosed : RecvStatus::kEmpty,
-                              std::nullopt};
-    }
-    return TryRecvResult<T>{RecvStatus::kValue, PopLocked(lock, on_pop)};
-  }
-
+  // channel.recv fault point, so a drain loop cannot alias with the blocking
+  // path's every-Nth fault schedule.
   TryRecvResult<T> TryRecv() {
-    return TryRecv([](const T&) {});
-  }
-
-  // Timed tri-state receive: parks up to `timeout`, returns kEmpty on
-  // timeout. Lets an idle worker sleep between steal attempts without
-  // missing a close.
-  template <typename Rep, typename Period, typename OnPop>
-  TryRecvResult<T> RecvFor(std::chrono::duration<Rep, Period> timeout,
-                           OnPop&& on_pop) {
     std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_for(lock, timeout,
-                        [this] { return closed_ || !queue_.empty(); });
     if (queue_.empty()) {
       return TryRecvResult<T>{closed_ ? RecvStatus::kClosed : RecvStatus::kEmpty,
                               std::nullopt};
     }
-    return TryRecvResult<T>{RecvStatus::kValue, PopLocked(lock, on_pop)};
-  }
-
-  template <typename Rep, typename Period>
-  TryRecvResult<T> RecvFor(std::chrono::duration<Rep, Period> timeout) {
-    return RecvFor(timeout, [](const T&) {});
-  }
-
-  // Work-stealing hook: runs `fn(queue)` with the queue under the channel
-  // lock, giving the caller mutable access to every queued message at once
-  // (a thief inspects, partitions, and removes entries in place; a failover
-  // rehome also *inserts* another worker's items). Returns false without
-  // calling `fn` if the channel is closed — a draining queue belongs to its
-  // owner. Wakes blocked senders afterwards if `fn` shrank the queue, and
-  // blocked receivers if it grew one.
-  template <typename Fn>
-  bool WithQueueLocked(Fn&& fn) {
-    bool shrank = false;
-    bool grew = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (closed_) {
-        return false;
-      }
-      const std::size_t before = queue_.size();
-      fn(queue_);
-      depth_.store(queue_.size(), std::memory_order_relaxed);
-      shrank = queue_.size() < before;
-      grew = queue_.size() > before;
-    }
-    if (shrank) {
-      not_full_.notify_all();
-    }
-    if (grew) {
-      not_empty_.notify_all();
-    }
-    return true;
+    return TryRecvResult<T>{RecvStatus::kValue, PopLocked(lock)};
   }
 
   void Close() {
@@ -194,17 +125,14 @@ class Channel {
   }
 
   // Advisory queue depth: a lock-free snapshot maintained by the locked
-  // push/pop paths. Load-balancing heuristics (victim scans, the imbalance
-  // gauge, paced-rx high-water checks) poll this at high frequency; taking
-  // the queue mutex for a momentary depth would make every scan contend
-  // with the very workers it is sizing up. Authoritative decisions still
-  // happen under the lock (WithQueueLocked re-reads the real queue).
+  // push/pop paths. Pollers (the imbalance gauge, paced-rx high-water
+  // checks, checkpoint nudges) read this at high frequency; taking the queue
+  // mutex for a momentary depth would make every poll contend with the very
+  // workers it is sizing up.
   std::size_t size() const { return depth_.load(std::memory_order_relaxed); }
 
  private:
-  template <typename OnPop>
-  lin::Own<T> PopLocked(std::unique_lock<std::mutex>& lock, OnPop&& on_pop) {
-    on_pop(*std::as_const(queue_.front()));
+  lin::Own<T> PopLocked(std::unique_lock<std::mutex>& lock) {
     lin::Own<T> out = std::move(queue_.front());
     queue_.pop_front();
     depth_.store(queue_.size(), std::memory_order_relaxed);

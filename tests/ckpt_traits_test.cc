@@ -216,6 +216,29 @@ TEST(Snapshot, TruncatedSnapshotPanics) {
   EXPECT_THROW((void)Restore<std::vector<int>>(snap), util::PanicError);
 }
 
+// Corrupt length fields in a std::vector<std::string> image. Failover
+// restores images like this, so each must be refused as a PanicError before
+// anything is sized from it — not escape as std::length_error (reserve) or
+// std::bad_alloc (the string buffer).
+TEST(Snapshot, CorruptLengthsPanicBeforeAllocating) {
+  struct Probe {
+    const char* what;
+    std::uint64_t outer_len;
+    std::uint64_t string_len;
+  };
+  for (const Probe& probe : {Probe{"outer length 2^61", 1ULL << 61, 0},
+                             Probe{"string length 2^40", 1, 1ULL << 40}}) {
+    Writer w(DedupMode::kLinearMark, NextEpoch());
+    w.WritePod<std::uint64_t>(probe.outer_len);
+    w.WritePod<std::uint64_t>(probe.string_len);
+    w.WriteBytes("abc", 3);
+    const Snapshot snap = w.Finish();
+    EXPECT_THROW((void)Restore<std::vector<std::string>>(snap),
+                 util::PanicError)
+        << probe.what;
+  }
+}
+
 TEST(Snapshot, TrailingBytesPanics) {
   Snapshot snap = Checkpoint(7);
   snap.bytes.push_back(0xff);

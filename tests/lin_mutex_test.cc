@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/lin/cell.h"
 #include "src/util/panic.h"
 
 namespace lin {
@@ -79,27 +78,6 @@ TEST(Mutex, NormalUnlockDoesNotPoison) {
     auto g = m.Lock();
   }
   EXPECT_FALSE(m.IsPoisoned());
-}
-
-TEST(Cell, GetSetReplace) {
-  Cell<int> c(3);
-  EXPECT_EQ(c.Get(), 3);
-  c.Set(4);
-  EXPECT_EQ(c.Get(), 4);
-  EXPECT_EQ(c.Replace(5), 4);
-  EXPECT_EQ(c.Get(), 5);
-}
-
-TEST(Cell, UpdateAppliesFunction) {
-  Cell<int> c(10);
-  c.Update([](int v) { return v * 2; });
-  EXPECT_EQ(c.Get(), 20);
-}
-
-TEST(Cell, WorksThroughConstReference) {
-  const Cell<int> c(1);
-  c.Set(2);  // interior mutability: legal despite const
-  EXPECT_EQ(c.Get(), 2);
 }
 
 }  // namespace

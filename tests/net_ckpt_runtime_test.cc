@@ -1,16 +1,18 @@
 // Live checkpointing & failover of the running sharded runtime
 // (Runtime::CheckpointLive / FailoverWorker): epoch quiesce completes on an
 // idle runtime, a checkpoint + forced failover under paced-rx traffic loses
-// zero packets (the exactly-once invariant), the checkpoint fence composes
-// with work stealing, failover restores stage state from the snapshot,
+// zero packets (the exactly-once invariant), failover restores stage state
+// from the snapshot and replays the victim's queued flows on it,
 // degraded (quarantined) pipelines round-trip, and the injected
 // ckpt.failover_resync / ckpt.replica_restore faults refuse the operation
 // cleanly instead of losing state.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,6 +67,75 @@ bool DrainTo(Runtime& rt, std::uint64_t dispatched) {
   }
   return false;
 }
+
+// Holds worker 0 inside the first batch it sees while `hold` is set; every
+// other batch passes straight through.
+class GateStage : public Operator {
+ public:
+  struct Shared {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool hold = false;
+    bool entered = false;
+  };
+
+  GateStage(std::size_t worker, Shared* shared)
+      : worker_(worker), shared_(shared) {}
+
+  PacketBatch Process(PacketBatch batch) override {
+    if (worker_ == 0) {
+      std::unique_lock<std::mutex> lock(shared_->mu);
+      if (shared_->hold && !shared_->entered) {
+        shared_->entered = true;
+        shared_->cv.notify_all();
+        shared_->cv.wait(lock, [this] { return !shared_->hold; });
+      }
+    }
+    return batch;
+  }
+
+  std::string_view name() const override { return "gate"; }
+
+ private:
+  std::size_t worker_;
+  Shared* shared_;
+};
+
+// Logs which replica delivered each packet: the flow (its destination port,
+// which NAT leaves alone), the packet's sequence stamp, and the source port
+// NAT assigned.
+class DeliveryRecorder : public Operator {
+ public:
+  struct Delivery {
+    std::size_t worker = 0;
+    std::uint16_t flow_port = 0;
+    std::uint64_t seq = 0;
+    std::uint16_t nat_port = 0;
+  };
+  struct Shared {
+    std::mutex mu;
+    std::vector<Delivery> log;
+  };
+
+  DeliveryRecorder(std::size_t worker, Shared* shared)
+      : worker_(worker), shared_(shared) {}
+
+  PacketBatch Process(PacketBatch batch) override {
+    std::lock_guard<std::mutex> lock(shared_->mu);
+    for (PacketBuf& pkt : batch) {
+      const FiveTuple t = pkt.Tuple();
+      shared_->log.push_back(
+          Delivery{worker_, t.dst_port, ReadFlowSeq(pkt), t.src_port});
+    }
+    return batch;
+  }
+
+  std::string_view name() const override { return "recorder"; }
+
+ private:
+  std::size_t worker_;
+  Shared* shared_;
+};
 
 // Decodes a StageImage produced by a NatRewrite stage back into its State.
 NatRewrite::State DecodeNatImage(const StageImage& img) {
@@ -124,7 +195,7 @@ TEST_F(CkptRuntimeTest, CheckpointAndFailoverUnderTrafficLoseNothing) {
   }
   ASSERT_GE(epochs, 3u) << "live epochs kept timing out under traffic";
   // Forced failover mid-traffic: worker 1 "loses" its state and is resynced
-  // from the replicated snapshot; its queued flows re-home to survivors.
+  // from the replicated snapshot; its queued flows stay queued on it.
   bool failed_over = false;
   for (int i = 0; i < 100 && !failed_over; ++i) {
     failed_over = rt.FailoverWorker(1);
@@ -146,48 +217,6 @@ TEST_F(CkptRuntimeTest, CheckpointAndFailoverUnderTrafficLoseNothing) {
   // checkpoint AND a failover. steer_dropped_items covers only the
   // shutdown-race refusals (none expected here, but the invariant is the
   // sum).
-  EXPECT_EQ(stats.totals.packets + stats.totals.drops +
-                stats.steer_dropped_items,
-            dispatched)
-      << stats.Summary();
-}
-
-// Checkpoint epochs opened while steals are in flight: the fence makes the
-// steal/eviction machinery stand down for the epoch, and conservation holds
-// across the interleaving. (The TSan CI job runs this test for the ordering
-// half of the claim.)
-TEST_F(CkptRuntimeTest, EpochsInterleavedWithStealsConserve) {
-  RuntimeConfig cfg = CkptConfigFor(4);
-  cfg.stealing.enabled = true;
-  cfg.stealing.min_victim_depth = 1;
-  cfg.stealing.min_gain_factor = 0.0;  // steal unconditionally
-  cfg.paced_rx.enabled = true;
-  cfg.paced_rx.burst = 16;
-  Runtime rt(cfg, NatStage());
-  rt.Start();
-
-  // Zipf-skewed flows: most traffic lands on a few workers, so the idle
-  // ones keep getting steal nudges while epochs open and close.
-  FlowSampler sampler(64, 1.2, 43);
-  FlowFeeder feeder(&sampler);
-  constexpr std::uint64_t kBatches = 600;
-  rt.StartPacedRx(&feeder, kBatches);
-
-  std::uint64_t epochs = 0;
-  for (int i = 0; i < 50 && epochs < 5; ++i) {
-    if (rt.CheckpointLive()) {
-      ++epochs;
-    }
-  }
-  ASSERT_GE(epochs, 5u) << "live epochs kept timing out under steal storm";
-
-  rt.WaitRxIdle();
-  const std::uint64_t dispatched = rt.Stats().rx_batches * cfg.paced_rx.burst;
-  ASSERT_TRUE(DrainTo(rt, dispatched));
-  rt.Shutdown();
-
-  const RuntimeStats stats = rt.Stats();
-  EXPECT_GE(stats.ckpt_epochs, 5u);
   EXPECT_EQ(stats.totals.packets + stats.totals.drops +
                 stats.steer_dropped_items,
             dispatched)
@@ -246,6 +275,125 @@ TEST_F(CkptRuntimeTest, FailoverRestoresStageStateFromSnapshot) {
   EXPECT_EQ(stats.totals.packets + stats.totals.drops +
                 stats.steer_dropped_items,
             dispatched);
+}
+
+// Failover keeps every flow on its hash home. Worker 0 is held inside a batch
+// while batches of other snapshot flows queue behind it, and FailoverWorker(0)
+// runs from a helper thread meanwhile. Each queued flow must then be
+// delivered by its home worker with the NAT port its snapshot slice holds: a
+// failover that moved the queued batches to worker 1 would deliver them
+// there, under ports worker 1 assigns afresh.
+TEST_F(CkptRuntimeTest, FailoverReplaysQueuedFlowsOnTheVictimsRestoredState) {
+  GateStage::Shared gate;
+  DeliveryRecorder::Shared recorder;
+  std::vector<StageSpec> spec;
+  spec.push_back({"gate", [&gate](std::size_t w) {
+                    return std::make_unique<GateStage>(w, &gate);
+                  }});
+  spec.push_back({"nat", [](std::size_t) {
+                    return std::make_unique<NatRewrite>(0x0a000001);
+                  }});
+  spec.push_back({"recorder", [&recorder](std::size_t w) {
+                    return std::make_unique<DeliveryRecorder>(w, &recorder);
+                  }});
+  Runtime rt(CkptConfigFor(2), spec);
+  rt.Start();
+
+  std::vector<FiveTuple> flows;
+  for (std::uint16_t i = 0; i < 32; ++i) {
+    FiveTuple t;
+    t.src_ip = 0x0a000002;
+    t.dst_ip = 0x0a000003;
+    t.src_port = static_cast<std::uint16_t>(1000 + i);
+    t.dst_port = static_cast<std::uint16_t>(2000 + i);
+    flows.push_back(t);
+  }
+  auto batch_of = [](const std::vector<FiveTuple>& tuples, std::uint64_t seq) {
+    FlowBatch batch;
+    for (const FiveTuple& t : tuples) {
+      batch.Push(FlowWork{t, seq});
+    }
+    return batch;
+  };
+
+  // Seq 0: every flow once, then the snapshot captures their NAT ports.
+  std::uint64_t dispatched = flows.size();
+  ASSERT_TRUE(rt.Dispatch(batch_of(flows, 0)));
+  ASSERT_TRUE(DrainTo(rt, dispatched));
+  ASSERT_TRUE(rt.CheckpointLive());
+  const RuntimeCkptImage image = rt.CheckpointImageCopy();
+  ASSERT_EQ(image.workers.size(), 2u);
+  std::vector<std::size_t> home(flows.size());
+  std::vector<FiveTuple> victim_flows;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    home[i] = rt.WorkerFor(flows[i]);
+    if (home[i] == 0) {
+      victim_flows.push_back(flows[i]);
+    }
+  }
+  ASSERT_GE(victim_flows.size(), 2u);
+
+  // Seq 1: the first victim flow's batch holds worker 0 in the gate; every
+  // other flow follows in its own batch, so worker 0's queue backs up.
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.hold = true;
+  }
+  ASSERT_TRUE(rt.Dispatch(batch_of({victim_flows[0]}, 1)));
+  ++dispatched;
+  bool entered = false;
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    entered = gate.cv.wait_for(lock, std::chrono::seconds(2),
+                               [&gate] { return gate.entered; });
+  }
+  // No ASSERT until the gate opens: returning early would leave worker 0
+  // held and Shutdown waiting on it.
+  std::size_t queued = 0;
+  for (const FiveTuple& t : flows) {
+    if (!(t == victim_flows[0]) && rt.Dispatch(batch_of({t}, 1))) {
+      ++dispatched;
+      ++queued;
+    }
+  }
+  bool failed_over = false;
+  std::thread failover([&rt, &failed_over] {
+    failed_over = rt.FailoverWorker(0);
+  });
+  // Let the failover act on worker 0's queue while the gate holds it. It
+  // cannot complete before the gate opens: the restore takes the victim's
+  // pipeline lock, which the held batch owns.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.hold = false;
+  }
+  gate.cv.notify_all();
+  failover.join();
+  ASSERT_TRUE(entered) << "worker 0 never reached the gate";
+  ASSERT_EQ(queued, flows.size() - 1);
+  ASSERT_TRUE(failed_over);
+  ASSERT_TRUE(DrainTo(rt, dispatched));
+  rt.Shutdown();
+
+  std::size_t checked = 0;
+  for (const DeliveryRecorder::Delivery& d : recorder.log) {
+    if (d.seq != 1) {
+      continue;
+    }
+    const std::size_t i = d.flow_port - 2000u;
+    ASSERT_LT(i, flows.size());
+    const NatRewrite::State slice =
+        DecodeNatImage(image.workers[home[i]].stages[1]);
+    const auto port = slice.flow_ports.find(flows[i].Hash());
+    ASSERT_NE(port, slice.flow_ports.end())
+        << "flow " << d.flow_port << " missing from its home's snapshot slice";
+    EXPECT_EQ(d.worker, home[i]) << "flow " << d.flow_port << " left its home";
+    EXPECT_EQ(d.nat_port, port->second)
+        << "flow " << d.flow_port << " lost its snapshot NAT port";
+    ++checked;
+  }
+  EXPECT_EQ(checked, queued + 1) << rt.Stats().Summary();
 }
 
 // A pipeline with a quarantined stage still checkpoints: the degraded

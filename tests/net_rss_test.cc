@@ -11,8 +11,6 @@
 #include <map>
 #include <set>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/net/mempool.h"
@@ -282,171 +280,6 @@ TEST(Rss, DispatchAfterShutdownCountsRefusalsAndDroppedItems) {
     while (rss.queue(w).TryRecv()) {
     }
   }
-}
-
-// Work stealing: a steal moves whole flows (every queued item of each
-// chosen flow, in order), repoints them in the migration table, and leaves
-// nothing of a stolen flow behind on the victim.
-TEST(Rss, StealMovesWholeFlowsRepointsHomeAndKeepsFifo) {
-  BasicRssDispatcher<FlowBatch> rss(2, /*queue_depth=*/0, /*stealing=*/true);
-  FlowSampler sampler(32, 0.0, 11);
-  FlowFeeder feeder(&sampler);
-  std::size_t dispatched = 0;
-  for (int i = 0; i < 8; ++i) {
-    FlowBatch batch = feeder.Next(32);
-    dispatched += batch.size();
-    rss.Dispatch(std::move(batch));
-  }
-
-  std::unordered_set<std::uint64_t> committed_keys;
-  auto result = rss.Steal(
-      /*victim=*/0, /*thief=*/1,
-      [] { return std::unordered_set<std::uint64_t>{}; },
-      [&committed_keys](const auto& r) {
-        committed_keys.insert(r.keys.begin(), r.keys.end());
-      });
-  ASSERT_GT(result.items, 0u) << "a loaded victim queue must yield a steal";
-  const std::unordered_set<std::uint64_t> stolen_keys(result.keys.begin(),
-                                                      result.keys.end());
-  EXPECT_EQ(committed_keys, stolen_keys)
-      << "commit must see the final key set while the locks are held";
-  EXPECT_EQ(rss.migrated_flows(), stolen_keys.size());
-
-  // Every stolen item belongs to a migrated flow, routes to the thief now,
-  // and per-flow sequence numbers stay strictly increasing across slices.
-  std::unordered_map<std::uint64_t, std::uint64_t> last_seq;
-  std::size_t stolen_items = 0;
-  for (const FlowBatch& slice : result.batches) {
-    for (const FlowWork& fw : slice) {
-      ++stolen_items;
-      const std::uint64_t key = rss.FlowKey(fw.tuple);
-      EXPECT_TRUE(stolen_keys.count(key) != 0);
-      EXPECT_EQ(rss.WorkerForTuple(fw.tuple), 1u) << "flow must follow steal";
-      auto [it, fresh] = last_seq.emplace(key, fw.seq);
-      if (!fresh) {
-        EXPECT_LT(it->second, fw.seq) << "per-flow FIFO broken by steal";
-        it->second = fw.seq;
-      }
-    }
-  }
-  EXPECT_EQ(stolen_items, result.items);
-
-  // Conservation: stolen + still-queued == dispatched, and the victim keeps
-  // no item of any stolen flow (a leftover would break per-flow ordering).
-  rss.Shutdown();
-  std::size_t remaining = 0;
-  for (std::size_t w = 0; w < rss.worker_count(); ++w) {
-    while (auto handle = rss.queue(w).TryRecv()) {
-      FlowBatch batch = (*handle).Take();
-      for (const FlowWork& fw : batch) {
-        if (w == 0) {
-          EXPECT_EQ(stolen_keys.count(rss.FlowKey(fw.tuple)), 0u)
-              << "victim kept an item of a stolen flow";
-        }
-      }
-      remaining += batch.size();
-    }
-  }
-  EXPECT_EQ(remaining + result.items, dispatched);
-}
-
-// The off-limits set (the victim's in-flight flows) is honoured: a steal
-// never touches an excluded flow, and excluding everything yields nothing.
-TEST(Rss, StealSkipsExcludedFlows) {
-  BasicRssDispatcher<FlowBatch> rss(2, /*queue_depth=*/0, /*stealing=*/true);
-  FlowSampler sampler(32, 0.0, 13);
-  FlowFeeder feeder(&sampler);
-  for (int i = 0; i < 4; ++i) {
-    rss.Dispatch(feeder.Next(32));
-  }
-  std::unordered_set<std::uint64_t> all_keys;
-  for (std::size_t i = 0; i < sampler.flow_count(); ++i) {
-    all_keys.insert(rss.FlowKey(sampler.FlowAt(i)));
-  }
-  bool committed = false;
-  auto result = rss.Steal(
-      0, 1, [&all_keys] { return all_keys; },
-      [&committed](const auto&) { committed = true; });
-  EXPECT_TRUE(result.batches.empty());
-  EXPECT_EQ(result.items, 0u);
-  EXPECT_FALSE(committed) << "an empty steal must not commit";
-  EXPECT_EQ(rss.migrated_flows(), 0u);
-  for (std::size_t i = 0; i < sampler.flow_count(); ++i) {
-    const FiveTuple tuple = sampler.FlowAt(i);
-    EXPECT_EQ(rss.WorkerForTuple(tuple),
-              static_cast<std::size_t>(rss.FlowKey(tuple) % 2))
-        << "no migration may happen when everything is off-limits";
-  }
-  rss.Shutdown();
-  for (std::size_t w = 0; w < rss.worker_count(); ++w) {
-    while (rss.queue(w).TryRecv()) {
-    }
-  }
-}
-
-// Migration-table lifecycle under flow churn: before eviction existed,
-// every flow ever stolen kept its table entry forever (only a steal-back
-// removed a key), so churning through fresh flows grew the table without
-// bound. With epoch/TTL eviction the table holds only recently-stolen
-// flows, and an evicted flow routes back to its hash home.
-TEST(Rss, MigrationTableEvictsQuietFlows) {
-  constexpr std::size_t kRounds = 8;
-  constexpr std::size_t kFlowsPerRound = 16;
-  constexpr std::uint64_t kTtl = 4;  // dispatches per round below
-  BasicRssDispatcher<FlowBatch> rss(2, /*queue_depth=*/0, /*stealing=*/true);
-
-  auto drain = [&rss] {
-    for (std::size_t w = 0; w < rss.worker_count(); ++w) {
-      while (rss.queue(w).TryRecv().status == sfi::RecvStatus::kValue) {
-      }
-    }
-  };
-
-  std::size_t total_stolen_keys = 0;
-  std::size_t peak_table = 0;
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    // A fresh flow population every round — the churn that used to leak.
-    FlowSampler sampler(kFlowsPerRound, 0.0,
-                        static_cast<std::uint64_t>(100 + round));
-    FlowFeeder feeder(&sampler);
-    for (int i = 0; i < 4; ++i) {
-      rss.Dispatch(feeder.Next(kFlowsPerRound));
-    }
-    const auto result = rss.Steal(
-        /*victim=*/0, /*thief=*/1,
-        [] { return std::unordered_set<std::uint64_t>{}; },
-        [](const auto&) {});
-    total_stolen_keys += result.keys.size();
-    drain();
-    // The idle thief sweeps its own stale entries; this round's are too
-    // young (epoch == now), earlier rounds' are >= kTtl dispatches old.
-    rss.EvictStaleMigrations(/*home=*/1, kTtl);
-    peak_table = std::max(peak_table, rss.migrated_flows());
-  }
-  ASSERT_GT(total_stolen_keys, kFlowsPerRound)
-      << "churn must actually migrate flows across rounds";
-  EXPECT_LE(peak_table, 2 * kFlowsPerRound)
-      << "table must stay bounded by the live flow population, not by the "
-         "cumulative churn";
-  EXPECT_LT(rss.migrated_flows(), total_stolen_keys);
-  EXPECT_GT(rss.migration_evictions(), 0u);
-
-  // Age out the final round too: advance the epoch past the TTL with empty
-  // dispatches, then sweep. The table must empty and every flow must route
-  // by hash again.
-  for (std::uint64_t i = 0; i < kTtl; ++i) {
-    rss.Dispatch(FlowBatch{});
-  }
-  rss.EvictStaleMigrations(/*home=*/1, kTtl);
-  EXPECT_EQ(rss.migrated_flows(), 0u);
-  FlowSampler probe(kFlowsPerRound, 0.0, 100);  // round 0's population
-  for (std::size_t i = 0; i < probe.flow_count(); ++i) {
-    const FiveTuple tuple = probe.FlowAt(i);
-    EXPECT_EQ(rss.WorkerForTuple(tuple),
-              static_cast<std::size_t>(rss.FlowKey(tuple) % 2))
-        << "evicted flow must fall back to its hash home";
-  }
-  rss.Shutdown();
 }
 
 TEST(Rss, ZeroWorkersRejected) {

@@ -11,9 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "src/net/operators/null_filter.h"
@@ -416,355 +414,6 @@ TEST(Runtime, FlowCorrelatedTraceSpansDispatchWorkersAndRecovery) {
   EXPECT_GT(count_of("\"cat\":\"flow\""), 0u);
   EXPECT_EQ(count_of("\"ph\":\"b\""), count_of("\"ph\":\"e\""))
       << "async begin/end pairing broke (see tools/trace_lint)";
-}
-
-// Cross-replica ordering + exactly-once recorder for the stealing tests.
-// Unlike OrderingCheck it has no affinity assertion (flows legitimately
-// migrate between replicas) — instead it checks the invariants stealing
-// must preserve: per-flow sequence numbers arrive in increasing order
-// *globally*, and no (flow, seq) pair is ever processed twice.
-class GlobalSeqCheck : public Operator {
- public:
-  struct Shared {
-    std::mutex mu;
-    std::map<std::uint64_t, std::uint64_t> last_seq;  // flow -> newest seq
-    std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
-    std::atomic<bool> ordering_violation{false};
-    std::atomic<bool> duplicate{false};
-  };
-
-  explicit GlobalSeqCheck(Shared* shared) : shared_(shared) {}
-
-  PacketBatch Process(PacketBatch batch) override {
-    std::lock_guard<std::mutex> lock(shared_->mu);
-    for (PacketBuf& pkt : batch) {
-      const std::uint64_t key = pkt.Tuple().Hash();
-      const std::uint64_t seq = ReadFlowSeq(pkt);
-      if (!shared_->seen.insert({key, seq}).second) {
-        shared_->duplicate = true;
-      }
-      auto [it, fresh] = shared_->last_seq.try_emplace(key, seq);
-      if (!fresh) {
-        if (seq <= it->second) {
-          shared_->ordering_violation = true;
-        }
-        it->second = seq;
-      }
-    }
-    return batch;
-  }
-
-  std::string_view name() const override { return "global-seq-check"; }
-
- private:
-  Shared* shared_;
-};
-
-// Flows that all hash-home to one worker — the adversarial skew for the
-// stealing tests: every other worker can only ever get work by stealing.
-std::vector<FiveTuple> FlowsPinnedTo(const Runtime& rt, std::size_t worker,
-                                     std::size_t n) {
-  std::vector<FiveTuple> flows;
-  FiveTuple t;
-  t.src_ip = 0x0a000001;
-  t.dst_ip = 0x0a000002;
-  t.dst_port = 80;
-  for (std::uint32_t port = 1; flows.size() < n && port < 60000; ++port) {
-    t.src_port = static_cast<std::uint16_t>(port);
-    if (rt.WorkerFor(t) == worker) {
-      flows.push_back(t);
-    }
-  }
-  return flows;
-}
-
-// Burns wall-clock per batch on selected replicas so a dispatched backlog
-// persists long enough for idle peers to steal it.
-class SpinStage : public Operator {
- public:
-  explicit SpinStage(std::chrono::microseconds per_batch) : per_batch_(per_batch) {}
-
-  PacketBatch Process(PacketBatch batch) override {
-    const auto until = std::chrono::steady_clock::now() + per_batch_;
-    while (std::chrono::steady_clock::now() < until) {
-    }
-    return batch;
-  }
-
-  std::string_view name() const override { return "spin"; }
-
- private:
-  std::chrono::microseconds per_batch_;
-};
-
-// Deterministic feeder over a fixed flow list: each batch carries ONE
-// flow's next n seqs (flows round-robin across batches). Single-flow
-// sub-batches matter for the stealing tests — the victim's in-flight
-// exclusion set is the flows of the sub-batch it is processing, so a
-// feeder that mixed every flow into every batch would (correctly) make
-// every flow off-limits and no steal could ever happen.
-class PinnedFeeder {
- public:
-  explicit PinnedFeeder(std::vector<FiveTuple> flows)
-      : flows_(std::move(flows)), next_seq_(flows_.size(), 0) {}
-
-  FlowBatch Next(std::size_t n) {
-    FlowBatch batch(n);
-    const std::size_t idx = cursor_++ % flows_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      batch.Push(FlowWork{flows_[idx], next_seq_[idx]++});
-    }
-    return batch;
-  }
-
- private:
-  std::vector<FiveTuple> flows_;
-  std::vector<std::uint64_t> next_seq_;
-  std::size_t cursor_ = 0;
-};
-
-// Work stealing end to end: all flows hash to worker 0, so workers 1..3
-// only process anything by stealing — and per-flow ordering must survive
-// every migration, with every item processed exactly once.
-TEST(Runtime, StealingBalancesPinnedLoadAndPreservesPerFlowOrdering) {
-  constexpr std::size_t kWorkers = 4;
-  constexpr int kBatches = 600;
-  constexpr std::size_t kBatchSize = 32;
-
-  GlobalSeqCheck::Shared shared;
-  RuntimeConfig cfg;
-  cfg.workers = kWorkers;
-  cfg.queue_depth = 0;  // unbounded: the whole load lands before Shutdown
-  cfg.stealing.enabled = true;
-  cfg.stealing.min_victim_depth = 2;
-  // Steal nudges ride the supervisor wake; tighten its cadence so several
-  // land while the pinned backlog persists.
-  cfg.supervision.watchdog_period_ms = 5;
-  std::vector<StageSpec> spec;
-  spec.push_back({"check", [&shared](std::size_t) {
-                    return std::make_unique<GlobalSeqCheck>(&shared);
-                  }});
-  // Worker 0 (every flow's hash home) is deliberately slow, so the backlog
-  // survives until the idle peers wake up and steal it.
-  spec.push_back({"slow", [](std::size_t worker) -> std::unique_ptr<Operator> {
-                    if (worker == 0) {
-                      return std::make_unique<SpinStage>(
-                          std::chrono::microseconds(50));
-                    }
-                    return std::make_unique<NullFilter>();
-                  }});
-  Runtime rt(cfg, spec);
-  const std::vector<FiveTuple> flows = FlowsPinnedTo(rt, 0, 12);
-  ASSERT_EQ(flows.size(), 12u);
-  rt.Start();
-
-  PinnedFeeder feeder(flows);
-  for (int i = 0; i < kBatches; ++i) {
-    rt.Dispatch(feeder.Next(kBatchSize));
-  }
-  // Drain while still accepting: Shutdown closes the queues, and a closed
-  // queue is never stolen from — the steals must happen in this window.
-  for (int i = 0; i < 5000; ++i) {
-    if (rt.Stats().totals.packets >= kBatches * kBatchSize) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  rt.Shutdown();
-
-  const RuntimeStats stats = rt.Stats();
-  EXPECT_FALSE(shared.ordering_violation.load())
-      << "per-flow sequence numbers arrived out of order across a steal";
-  EXPECT_FALSE(shared.duplicate.load())
-      << "a (flow, seq) pair was processed twice";
-  EXPECT_EQ(stats.totals.packets, kBatches * kBatchSize)
-      << "stealing must not lose or strand work";
-  EXPECT_EQ(stats.totals.drops, 0u);
-  EXPECT_GE(stats.totals.steals, 1u)
-      << "a fully pinned load on 4 workers must trigger stealing";
-  EXPECT_GE(stats.totals.stolen_items, 1u);
-  EXPECT_NE(stats.Summary().find("steals="), std::string::npos);
-  // The thieves actually processed some of the load.
-  std::uint64_t thief_packets = 0;
-  for (std::size_t w = 1; w < kWorkers; ++w) {
-    thief_packets += stats.workers[w].packets;
-  }
-  EXPECT_GE(thief_packets, stats.totals.stolen_items)
-      << "stolen items are processed on the thief's replica";
-}
-
-// Steal under fault: the thief replicas panic on every batch and get
-// quarantined (drop policy). A stolen sub-batch caught in that must be
-// either processed or *counted* as dropped — never stranded, never run
-// twice.
-TEST(Runtime, StealUnderFaultNeitherStrandsNorDoubleProcesses) {
-  constexpr std::size_t kWorkers = 4;
-  constexpr int kBatches = 600;
-  constexpr std::size_t kBatchSize = 16;
-
-  GlobalSeqCheck::Shared shared;
-  RuntimeConfig cfg;
-  cfg.workers = kWorkers;
-  cfg.queue_depth = 0;  // unbounded: the whole load lands before Shutdown
-  cfg.stealing.enabled = true;
-  cfg.supervision.max_recovery_attempts = 2;
-  cfg.supervision.watchdog_period_ms = 5;
-  std::vector<StageSpec> spec;
-  spec.push_back({"check", [&shared](std::size_t) {
-                    return std::make_unique<GlobalSeqCheck>(&shared);
-                  }});
-  // Worker 0 (every flow's hash home) is slow so its backlog gets stolen;
-  // the thief replicas (workers 1..3) then panic on every stolen batch.
-  spec.push_back({"flaky", [](std::size_t worker) -> std::unique_ptr<Operator> {
-                    if (worker == 0) {
-                      return std::make_unique<SpinStage>(
-                          std::chrono::microseconds(50));
-                    }
-                    return std::make_unique<NullFilter>(1);
-                  }});
-  Runtime rt(cfg, spec);
-  const std::vector<FiveTuple> flows = FlowsPinnedTo(rt, 0, 12);
-  ASSERT_EQ(flows.size(), 12u);
-  rt.Start();
-
-  PinnedFeeder feeder(flows);
-  for (int i = 0; i < kBatches; ++i) {
-    rt.Dispatch(feeder.Next(kBatchSize));
-  }
-  // Drain while still accepting, as above: steals only happen while the
-  // victim's queue is open.
-  for (int i = 0; i < 5000; ++i) {
-    const RuntimeStats s = rt.Stats();
-    if (s.totals.packets + s.totals.drops >= kBatches * kBatchSize) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  rt.Shutdown();
-
-  const RuntimeStats stats = rt.Stats();
-  EXPECT_GE(stats.totals.steals, 1u) << "no steal happened; test is vacuous";
-  EXPECT_GE(stats.totals.faults, 1u)
-      << "a stolen batch must have hit the thief's faulting stage";
-  EXPECT_FALSE(shared.duplicate.load())
-      << "a faulted steal re-processed a (flow, seq) pair";
-  EXPECT_FALSE(shared.ordering_violation.load());
-  // Conservation is the no-stranding proof: every dispatched item either
-  // left the pipeline or is accounted as a drop (faulted or quarantined).
-  EXPECT_EQ(stats.totals.packets + stats.totals.drops,
-            kBatches * kBatchSize)
-      << "a stolen sub-batch was stranded by the fault";
-}
-
-// Adaptive gate, closed: stealing configured on but with a gain bar no
-// backlog can clear must behave exactly like stealing disabled — zero
-// steals, zero migrations, and the dispatch path producing identical
-// per-worker counters (one steal would re-home flows and break equality).
-TEST(Runtime, AdaptiveGateClosedMatchesStealingDisabled) {
-  constexpr std::size_t kWorkers = 4;
-  constexpr int kBatches = 200;
-  constexpr std::size_t kBatchSize = 16;
-
-  auto run = [&](bool enabled, double min_gain_factor) {
-    RuntimeConfig cfg;
-    cfg.workers = kWorkers;
-    cfg.queue_depth = 0;
-    cfg.stealing.enabled = enabled;
-    cfg.stealing.min_gain_factor = min_gain_factor;
-    std::vector<StageSpec> spec;
-    // Worker 0 is slow so a stealable backlog exists the whole run: the
-    // gated run must *refuse* real opportunities, not merely never see one.
-    spec.push_back(
-        {"slow", [](std::size_t worker) -> std::unique_ptr<Operator> {
-           if (worker == 0) {
-             return std::make_unique<SpinStage>(std::chrono::microseconds(50));
-           }
-           return std::make_unique<NullFilter>();
-         }});
-    Runtime rt(cfg, spec);
-    const std::vector<FiveTuple> flows = FlowsPinnedTo(rt, 0, 12);
-    rt.Start();
-    PinnedFeeder feeder(flows);
-    for (int i = 0; i < kBatches; ++i) {
-      rt.Dispatch(feeder.Next(kBatchSize));
-    }
-    for (int i = 0; i < 5000; ++i) {
-      if (rt.Stats().totals.packets >= kBatches * kBatchSize) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    rt.Shutdown();
-    return rt.Stats();
-  };
-
-  const RuntimeStats off = run(/*enabled=*/false, 2.0);
-  // min_gain_factor so high no finite backlog opens the gate.
-  const RuntimeStats gated = run(/*enabled=*/true, 1e9);
-
-  EXPECT_EQ(gated.totals.steals, 0u) << "closed gate must suppress steals";
-  EXPECT_EQ(gated.totals.stolen_items, 0u);
-  EXPECT_EQ(gated.migrated_flows, 0u);
-  ASSERT_EQ(off.workers.size(), gated.workers.size());
-  for (std::size_t w = 0; w < off.workers.size(); ++w) {
-    EXPECT_EQ(off.workers[w].packets, gated.workers[w].packets)
-        << "worker " << w << ": gated dispatch routed differently than "
-        << "stealing-off dispatch";
-    EXPECT_EQ(off.workers[w].batches, gated.workers[w].batches)
-        << "worker " << w << ": sub-batch fan-out differs";
-  }
-  EXPECT_EQ(off.totals.packets, gated.totals.packets);
-  EXPECT_EQ(gated.totals.packets, kBatches * kBatchSize);
-}
-
-// Steal storm, suppressed: under near-uniform load with a closed gate, an
-// idle worker keeps *finding* victims above min_victim_depth but must skip
-// every one — the refusals land in steal_skipped_total and no work moves.
-TEST(Runtime, UniformLoadWithClosedGateCountsSkippedSteals) {
-  constexpr std::size_t kWorkers = 4;
-  constexpr int kBatches = 200;
-  constexpr std::size_t kBatchSize = 16;
-
-  RuntimeConfig cfg;
-  cfg.workers = kWorkers;
-  cfg.queue_depth = 0;
-  cfg.stealing.enabled = true;
-  cfg.stealing.min_gain_factor = 1e9;  // gate never opens
-  cfg.supervision.watchdog_period_ms = 2;  // several nudges per backlog
-  std::vector<StageSpec> spec;
-  // Worker 0 is the fast one: it drains its share quickly, goes idle, and
-  // then repeatedly sizes up its slow peers' backlogs.
-  spec.push_back(
-      {"uneven", [](std::size_t worker) -> std::unique_ptr<Operator> {
-         if (worker == 0) {
-           return std::make_unique<NullFilter>();
-         }
-         return std::make_unique<SpinStage>(std::chrono::microseconds(20));
-       }});
-  Runtime rt(cfg, spec);
-  rt.Start();
-
-  FlowSampler sampler(64, 0.0, 17);  // uniform across all workers
-  FlowFeeder feeder(&sampler);
-  for (int i = 0; i < kBatches; ++i) {
-    rt.Dispatch(feeder.Next(kBatchSize));
-  }
-  for (int i = 0; i < 5000; ++i) {
-    if (rt.Stats().totals.packets >= kBatches * kBatchSize) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  rt.Shutdown();
-
-  const RuntimeStats stats = rt.Stats();
-  EXPECT_EQ(stats.totals.packets, kBatches * kBatchSize)
-      << "skipped steals must not lose work";
-  EXPECT_EQ(stats.totals.steals, 0u);
-  EXPECT_EQ(stats.migrated_flows, 0u);
-  EXPECT_GE(stats.totals.steals_skipped, 1u)
-      << "an idle worker staring at deep peers must record its refusals";
-  EXPECT_NE(stats.Summary().find("steals_skipped="), std::string::npos);
 }
 
 // Paced rx: the rx thread must keep every queue at/below the high-water

@@ -7,7 +7,7 @@
 // spanning a forced CheckpointLive + FailoverWorker reports nonzero interval
 // slo_p99_cycles alongside the ckpt_epochs / failovers counter deltas, and
 // the same window's SLO header decomposes delivery latency into
-// queue/service/steal/fence components that sum back to it while /profile
+// queue/service/fence components that sum back to it while /profile
 // attributes the workers' CPU to named phases.
 #include <gtest/gtest.h>
 
@@ -435,7 +435,7 @@ class BurningNat : public net::Operator {
 
 // The decomposition acceptance check ("explain the p99"): one delta window
 // spanning a forced CheckpointLive + FailoverWorker under a paced dispatcher
-// must report all four latency components in the SLO header, their means
+// must report all three latency components in the SLO header, their means
 // must sum to the delivery mean (exact by construction — each delivery
 // records exactly one sample, possibly zero, in every component), their p50s
 // must sum to the delivery p50 within the log-linear bucketization tolerance
@@ -461,7 +461,7 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
   // One measurement window: paced dispatch with a forced CheckpointLive +
   // FailoverWorker inside it, a /profile scrape mid-storm (first round
   // only), then a delta scrape that closes the window. The structural
-  // invariants — all four components present, per-component sample counts
+  // invariants — all three components present, per-component sample counts
   // equal to deliveries, exact mean additivity, resilience counters — hold
   // per-window regardless of machine load and are asserted every round.
   // The p50 additivity error is *returned*: medians only compose when the
@@ -474,7 +474,7 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
     ASSERT_EQ(StatusOf(Get(sock, "/metrics/delta")), 200);  // open window
 
     // Paced dispatcher: steady load for the whole window so the /profile
-    // scrape catches workers mid-execute and the fence/steal events have
+    // scrape catches workers mid-execute and the fence/failover events have
     // traffic on both sides, while keeping the workers under saturation.
     std::atomic<bool> stop{false};
     std::atomic<int> paced_batches{0};
@@ -535,12 +535,12 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
     ASSERT_GT(delivery_samples, 0.0);
     ASSERT_GT(delivery_p50, 0.0);
 
-    // All four components present, each with one sample per delivery.
+    // All three components present, each with one sample per delivery.
     const jsonmini::JsonValue* components = slo->Find("components");
     ASSERT_NE(components, nullptr) << BodyOf(delta);
     double p50_sum = 0.0;
     double mean_sum = 0.0;
-    for (const char* key : {"queue", "service", "steal", "fence"}) {
+    for (const char* key : {"queue", "service", "fence"}) {
       const jsonmini::JsonValue* c = components->Find(key);
       ASSERT_NE(c, nullptr) << "missing component " << key;
       EXPECT_EQ(c->Find("samples")->number, delivery_samples) << key;
@@ -548,7 +548,7 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
       mean_sum += c->Find("mean_cycles")->number;
     }
     // The resilience events fired inside this window, so the window saw a
-    // checkpoint fence and a failover re-home.
+    // checkpoint fence and a failover.
     const jsonmini::JsonValue* counters =
         root->Find("delta")->Find("counters");
     ASSERT_NE(counters, nullptr);
@@ -559,7 +559,7 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
         counters->Find("runtime.failovers_total")->Find("delta")->number,
         1.0);
 
-    // Mean additivity is exact (integer sums, no bucketization): the four
+    // Mean additivity is exact (integer sums, no bucketization): the three
     // component means must reconstruct the delivery mean to print
     // precision, every window, loaded box or not.
     const jsonmini::JsonValue* hists =

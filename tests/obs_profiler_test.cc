@@ -194,9 +194,9 @@ TEST(Profiler, ScopesRestoreOnExit) {
   std::string error;
   ASSERT_TRUE(prof.StartWindow(1000, &error)) << error;
   {
-    obs::ScopedProfilerPhase outer(obs::ProfilerPhase::kSteal);
+    obs::ScopedProfilerPhase outer(obs::ProfilerPhase::kRecover);
     EXPECT_EQ(obs::internal::g_prof_ctx->phase.load(),
-              static_cast<std::uint8_t>(obs::ProfilerPhase::kSteal));
+              static_cast<std::uint8_t>(obs::ProfilerPhase::kRecover));
     {
       obs::ScopedProfilerPhase inner(obs::ProfilerPhase::kExecute);
       obs::ScopedProfilerStage stage("inner_stage");
@@ -206,7 +206,7 @@ TEST(Profiler, ScopesRestoreOnExit) {
     }
     // Inner scopes restored phase and stage on exit.
     EXPECT_EQ(obs::internal::g_prof_ctx->phase.load(),
-              static_cast<std::uint8_t>(obs::ProfilerPhase::kSteal));
+              static_cast<std::uint8_t>(obs::ProfilerPhase::kRecover));
     EXPECT_EQ(obs::internal::g_prof_ctx->stage.load(), nullptr);
   }
   EXPECT_EQ(obs::internal::g_prof_ctx->phase.load(),

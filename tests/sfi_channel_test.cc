@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <numeric>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/lin/own.h"
@@ -61,31 +63,6 @@ TEST(Channel, TryRecvDistinguishesEmptyFromClosed) {
   // ...and only the drained channel reports kClosed, forever.
   EXPECT_EQ(ch.TryRecv().status, RecvStatus::kClosed);
   EXPECT_EQ(ch.TryRecv().status, RecvStatus::kClosed);
-}
-
-TEST(Channel, RecvForTimesOutEmptyThenSeesClose) {
-  Channel<int> ch;
-  EXPECT_EQ(ch.RecvFor(std::chrono::microseconds(100)).status,
-            RecvStatus::kEmpty);
-  ch.Send(lin::Make<int>(7));
-  auto got = ch.RecvFor(std::chrono::microseconds(100));
-  ASSERT_EQ(got.status, RecvStatus::kValue);
-  EXPECT_EQ(*std::as_const(*got), 7);
-  ch.Close();
-  EXPECT_EQ(ch.RecvFor(std::chrono::microseconds(100)).status,
-            RecvStatus::kClosed);
-}
-
-// The on_pop hook runs under the channel lock with the message about to be
-// handed out — the dequeue and the callback's bookkeeping are atomic.
-TEST(Channel, OnPopSeesTheMessageBeforeHandout) {
-  Channel<int> ch;
-  ch.Send(lin::Make<int>(9));
-  int seen = 0;
-  auto got = ch.TryRecv([&seen](const int& v) { seen = v; });
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(seen, 9);
-  EXPECT_EQ(*std::as_const(*got), 9);
 }
 
 TEST(Channel, CloseUnblocksReceivers) {

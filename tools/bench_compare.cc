@@ -18,8 +18,9 @@
 //   --min NAME=V       fail unless the fresh run's metric NAME (exact
 //                      match) is present, numeric, and >= V — the floor
 //                      gate for higher-is-better metrics like
-//                      zipf_steal_speedup, which the higher-is-worse delta
-//                      comparison cannot express (repeatable)
+//                      fused_vs_interpreted_speedup, which the
+//                      higher-is-worse delta comparison cannot express
+//                      (repeatable)
 //   --warn-only        report regressions but exit 0 (parallel benches on
 //                      the 1-core runner); --min floors still fail
 //   --refresh-baselines
@@ -296,8 +297,8 @@ int main(int argc, char** argv) {
     }
   }
   // Floor gates run against the fresh run only: a floor is an absolute
-  // requirement ("stealing must not be slower than off"), not a delta, so
-  // neither --warn-only nor --refresh-baselines waives it.
+  // requirement ("fusing must not be slower than interpreting"), not a
+  // delta, so neither --warn-only nor --refresh-baselines waives it.
   std::size_t floor_failures = 0;
   for (const MinRule& rule : opt.min_rules) {
     const JsonValue* entry = fresh_metrics->Find(rule.name);
