@@ -150,6 +150,29 @@ bool WriteDeltaJson(const std::string& path,
   return out.good();
 }
 
+// Blocks until the runtime's delivery and fault counters have stood still
+// for a settle period once the driver stopped dispatching: no batch,
+// recovery or flow track is then in flight. Gives up after a few seconds.
+void Settle(net::Runtime& rt) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  auto moved = [](const net::RuntimeStats& a, const net::RuntimeStats& b) {
+    return a.totals.batches != b.totals.batches ||
+           a.totals.drops != b.totals.drops ||
+           a.totals.faults != b.totals.faults ||
+           a.totals.recoveries != b.totals.recoveries ||
+           a.totals.recovery_panics != b.totals.recovery_panics;
+  };
+  net::RuntimeStats last = rt.Stats();
+  int quiet_polls = 0;
+  while (quiet_polls < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const net::RuntimeStats now = rt.Stats();
+    quiet_polls = moved(last, now) ? 0 : quiet_polls + 1;
+    last = now;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -158,9 +181,10 @@ int main(int argc, char** argv) {
   constexpr int kStormBatches = 1500;
 
   // Optional trace path (default fault_storm_trace.json) and delta-scrape
-  // artifact path (default fault_storm_delta.json). The whole storm is
-  // traced: batches, faults, recoveries, and the quarantine land in one
-  // chrome://tracing / Perfetto timeline, flow-correlated by async tracks.
+  // artifact path (default fault_storm_delta.json). The storm and the
+  // quarantine are traced: batches, faults, recoveries, and the quarantine
+  // land in one chrome://tracing / Perfetto timeline, flow-correlated by
+  // async tracks.
   //
   // --ops PATH serves /metrics, /metrics/delta, /trace, /profile, /healthz
   // on a unix socket while the process runs; --serve-ms N holds the storm
@@ -255,6 +279,25 @@ int main(int argc, char** argv) {
   }
   phase_deltas.push_back(ScrapePhase(2, "quarantine", rt));
 
+  // The trace is written here, at rest, before the serve window: a live
+  // /trace scrape disarms the tracer while it exports, and a flow track open
+  // across that window loses its events in every later export, which would
+  // break trace_lint's b/e pairing. The storm and quarantine phases hold the
+  // cross-thread recovery tracks its --flow-check gate looks for.
+  Settle(rt);
+  {
+    // Drain, not Export: workers and the supervisor are idle but alive.
+    const std::string trace = tracer.DrainChromeJson();
+    std::ofstream out(trace_path);
+    out << trace;
+    if (out.good()) {
+      std::printf("\ntrace: %s (%zu bytes, storm and quarantine phases)\n",
+                  trace_path, trace.size());
+    } else {
+      std::fprintf(stderr, "failed to write trace to %s\n", trace_path);
+    }
+  }
+
   // Scrape window: hold the storm open — injectors still armed, live
   // checkpoint epochs still firing — so an external obs_scrape can pull
   // /metrics, /metrics/delta, /trace, /profile, and /healthz from a process
@@ -307,20 +350,10 @@ int main(int argc, char** argv) {
   std::printf("=== fault storm report ===\n%s\n", stats.Summary().c_str());
 
   // Machine-readable outputs: the runtime registry scrape (plus the
-  // process-global sfi/fault counters) and the cycle trace.
+  // process-global sfi/fault counters) and the per-phase delta scrapes.
   std::printf("\n--- metrics scrape (prometheus text) ---\n%s",
               rt.ScrapePrometheus().c_str());
   std::printf("%s", obs::Registry::Global().Scrape().ToPrometheus().c_str());
-  if (tracer.WriteChromeJson(trace_path)) {
-    std::printf("\ntrace: %s (%llu events buffered, %llu total, "
-                "%llu dropped)\n",
-                trace_path,
-                static_cast<unsigned long long>(tracer.buffered_events()),
-                static_cast<unsigned long long>(tracer.total_events()),
-                static_cast<unsigned long long>(tracer.dropped_events()));
-  } else {
-    std::fprintf(stderr, "failed to write trace to %s\n", trace_path);
-  }
   if (WriteDeltaJson(delta_path, phase_deltas)) {
     std::printf("delta scrapes: %s (%zu phases)\n", delta_path,
                 phase_deltas.size());

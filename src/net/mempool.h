@@ -10,12 +10,12 @@
 // backend is multi-producer/multi-consumer), this pool is deliberately not
 // thread-safe: Alloc and Free mutate the freelist without synchronization.
 // Exactly one thread may allocate from and free into a given pool. Packet
-// handles may *transit* other threads (e.g. a steered batch crossing an
+// handles may *transit* other threads (e.g. a batch handed across an
 // sfi::Channel), but every path that ends a buffer's life — drop, Retain,
 // unwinding — must run on the owning thread. net::Runtime enforces this
 // structurally by giving each worker its own pool and steering flow
-// descriptors, not buffers, across threads; worker-side allocation means
-// cross-thread Free cannot be expressed. In checked builds
+// descriptors, not buffers, through its per-worker rings (rss.h);
+// worker-side allocation means cross-thread Free cannot be expressed. In checked builds
 // (LINSYS_CHECKED=ON) the pool additionally binds itself to the first thread
 // that calls Alloc/Free and panics on any use from another thread, and a
 // free-slot bitmap turns double-frees into deterministic panics instead of

@@ -1,115 +1,236 @@
 // Receive-side scaling (RSS): the NIC feature the DPDK simulator's users
-// expect — hash each packet's 5-tuple and steer it to one of N worker
-// queues, so one flow always lands on one worker (no cross-core flow state).
+// expect — hash each flow's 5-tuple and steer it to one of N workers, so one
+// flow always lands on one worker (no cross-core flow state). Routing is
+// hash % workers for the life of the dispatcher, so each flow's state lives
+// on exactly one replica (DESIGN.md §9 "Flow pinning").
 //
-// The handoff uses sfi::Channel, i.e. it is a zero-copy ownership transfer:
-// the dispatcher provably cannot touch a batch after steering it, which is
-// what makes lock-free per-worker flow tables sound (§3's argument applied
+// The dispatcher steers flow *descriptors* (FlowBatch), not packet buffers:
+// frames are allocated from, and returned to, the owning worker's pool on
+// that worker's thread (see mempool.h's single-owner contract), as with
+// hardware RSS, where the NIC steers before any buffer of the queue's pool
+// is touched.
+//
+// The handoff: each worker has a bounded ring of `queue_depth` reusable
+// FlowBatch slots. Dispatch hashes each descriptor once, writes each
+// worker's share straight into that worker's next free slot, and publishes
+// the slot by advancing the ring's tail. The worker swaps the slot's batch
+// out against its own spare batch and advances the head. Slots keep their
+// item capacity from lap to lap, so in steady state the handoff allocates
+// nothing, and the worker never takes a lock.
+//
+// Linearity: Dispatch consumes its batch, and each slot has exactly one
+// owner at a time — the producer from reserve to publish (under the ring's
+// producer lock), then the worker from publish to release (its head
+// advance). Neither side can reach a slot the other owns, so the slot handoff
+// is the zero-copy ownership transfer that lin::Own gives a channel message:
+// the dispatcher provably cannot touch a sub-batch after steering it, which
+// is what makes lock-free per-worker flow tables sound (§3's argument applied
 // across threads instead of domains).
 //
-// BasicRssDispatcher is generic over the steered batch type: the classic
-// instantiation (RssDispatcher) steers PacketBatch, while net::Runtime
-// steers FlowBatch — flow *descriptors* rather than buffers — so that
-// packet memory is always allocated and freed on the worker that owns the
-// pool (see mempool.h's single-owner contract). Any batch type works if it
-// is movable, iterable, and its items expose Tuple().
+// Producers: any thread may call Dispatch. A per-ring producer lock
+// serializes the producers (and Close) of one ring; the worker never takes
+// it. The steering counters are relaxed atomics, exact under concurrent
+// dispatch.
 //
-// Dispatch may be called from multiple producer threads concurrently
-// (sfi::Channel is MPMC); the steering counters are relaxed atomics so the
-// telemetry stays exact under concurrent dispatch.
+// Waiting: each side polls for kPollBeforePark, yielding the CPU between
+// rounds of spinning so that on an oversubscribed core the thread it waits
+// for still runs, then parks on an atomic wait. The other side wakes it
+// only if it announced that it parked: a seq_cst announce-then-recheck
+// handshake, the same one obs::Tracer's drain uses (producers park on an
+// event count, since several may wait on one ring). A parked producer is
+// woken by the first take after it parked, once per park, not once per
+// freed slot.
 //
-// A flow never changes workers: routing is hash % workers for the life of
-// the dispatcher, so each flow's state lives on exactly one replica
-// (DESIGN.md §9 "Flow pinning").
+// Close strands nothing: Close sets the closed flag under the producer lock,
+// so a publish racing it either lands before the flag (and the worker drains
+// it before it exits) or sees the flag and is refused — counted in
+// refused_sub_batches()/dropped_items(), never lost silently. A producer
+// parked on a full ring is woken and refused.
 #ifndef LINSYS_SRC_NET_RSS_H_
 #define LINSYS_SRC_NET_RSS_H_
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "src/lin/own.h"
-#include "src/net/batch.h"
 #include "src/net/headers.h"
-#include "src/sfi/channel.h"
+#include "src/obs/metrics.h"
+#include "src/util/fault_injector.h"
 #include "src/util/panic.h"
 
 namespace net {
 
-template <typename Batch>
-class BasicRssDispatcher {
+// One unit of steered work: which flow, and its per-flow sequence number
+// (stamped into the frame payload so per-flow ordering is observable end to
+// end).
+struct FlowWork {
+  FiveTuple tuple;
+  std::uint64_t seq = 0;
+};
+
+// Batch of flow descriptors: what Dispatch consumes and what a ring slot
+// carries to its worker.
+class FlowBatch {
  public:
-  // `queue_depth` bounds each worker channel (backpressure, like NIC ring
-  // sizes); 0 = unbounded.
-  explicit BasicRssDispatcher(std::size_t workers, std::size_t queue_depth = 64)
+  FlowBatch() = default;
+  explicit FlowBatch(std::size_t reserve) { work_.reserve(reserve); }
+
+  void Push(FlowWork w) { work_.push_back(w); }
+  std::size_t size() const { return work_.size(); }
+  bool empty() const { return work_.empty(); }
+
+  auto begin() { return work_.begin(); }
+  auto end() { return work_.end(); }
+  auto begin() const { return work_.begin(); }
+  auto end() const { return work_.end(); }
+
+  // Empties the batch and zeroes its stamps but keeps the item capacity, so
+  // a ring slot refills without allocating.
+  void Clear() {
+    work_.clear();
+    flow_id_ = 0;
+    dispatch_tsc_ = 0;
+    pop_tsc_ = 0;
+    fence_cycles_ = 0;
+  }
+  void Reserve(std::size_t n) { work_.reserve(n); }
+
+  // Trace-correlation id assigned by Runtime::Dispatch (0 = unassigned).
+  // Dispatch copies it into every per-worker slot, so the whole fan-out
+  // shares one async track.
+  std::uint64_t flow_id() const { return flow_id_; }
+  void set_flow_id(std::uint64_t id) { flow_id_ = id; }
+
+  // Dispatch-time cycle stamp (0 = unstamped), carried through fan-out
+  // exactly like flow_id, so the delivery-side read measures true
+  // end-to-end latency — including queue wait — not just pipeline time.
+  std::uint64_t dispatch_tsc() const { return dispatch_tsc_; }
+  void set_dispatch_tsc(std::uint64_t tsc) { dispatch_tsc_ = tsc; }
+
+  // Pop-time cycle stamp (0 = unstamped): when the owning worker took the
+  // batch off its ring. Splits delivery latency into its queue
+  // (dispatch→pop) and service (pop→delivery) halves.
+  std::uint64_t pop_tsc() const { return pop_tsc_; }
+  void set_pop_tsc(std::uint64_t tsc) { pop_tsc_ = tsc; }
+
+  // Cycles the batch stalled behind a checkpoint capture (the pause its
+  // worker took between popping it and processing it).
+  std::uint64_t fence_cycles() const { return fence_cycles_; }
+  void set_fence_cycles(std::uint64_t c) { fence_cycles_ = c; }
+
+ private:
+  std::vector<FlowWork> work_;
+  std::uint64_t flow_id_ = 0;
+  std::uint64_t dispatch_tsc_ = 0;
+  std::uint64_t pop_tsc_ = 0;
+  std::uint64_t fence_cycles_ = 0;
+};
+
+// How long either side of a ring polls before it parks. It covers the gap
+// between bursts at the open-loop rates the runtime is driven at (a 32-flow
+// burst every 16–64 µs), so a busy worker never pays a futex wake, while
+// an idle one gives its core back within tens of microseconds.
+inline constexpr std::chrono::microseconds kPollBeforePark{50};
+
+class RssDispatcher {
+ public:
+  // `queue_depth` slots per worker ring (backpressure, like NIC ring sizes);
+  // it must be positive. Each park of a worker on its empty ring counts in
+  // `worker_parks` (shard = worker index), each park of a producer on a full
+  // ring in `dispatch_waits`; either may be null.
+  RssDispatcher(std::size_t workers, std::size_t queue_depth,
+                obs::Counter* worker_parks = nullptr,
+                obs::Counter* dispatch_waits = nullptr)
       : seed_(0x5ca1ab1eULL), per_worker_steered_(workers) {
     LINSYS_ASSERT(workers > 0, "RSS needs at least one worker");
+    LINSYS_ASSERT(queue_depth > 0, "RSS rings need a positive queue_depth");
     for (std::size_t i = 0; i < workers; ++i) {
-      queues_.push_back(std::make_unique<sfi::Channel<Batch>>(queue_depth));
+      rings_.push_back(
+          std::make_unique<Ring>(queue_depth, i, worker_parks, dispatch_waits));
     }
   }
 
-  // Steers every item of `batch` to its worker queue, grouped into one
-  // sub-batch per worker per call. Consumes the input batch. Returns the
-  // number of sub-batches actually enqueued. A closed channel refuses its
-  // sub-batch; the refusal and its item count are recorded in
-  // refused_sub_batches()/dropped_items() — never lost silently.
-  std::size_t Dispatch(Batch batch) {
+  // Steers every item of `batch` to its worker's ring, as one sub-batch per
+  // worker per call. Consumes the input batch. Blocks while a target ring is
+  // full. Returns the number of sub-batches published. A closed ring refuses
+  // its sub-batch; the refusal and its item count are recorded in
+  // refused_sub_batches()/dropped_items().
+  std::size_t Dispatch(FlowBatch batch) {
     dispatch_calls_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<Batch> per_worker(queues_.size());
-    for (auto& item : batch) {
-      per_worker[WorkerForTuple(item.Tuple())].Push(std::move(item));
-    }
-    // Flow-id propagation: batch types carrying a dispatch-assigned flow id
-    // (FlowBatch) stamp it onto every per-worker sub-batch, so the id
-    // follows the work across the channel and the worker can re-enter the
-    // flow's trace context. Batch types without one (PacketBatch) compile
-    // this out.
-    if constexpr (requires { per_worker[0].set_flow_id(batch.flow_id()); }) {
-      for (auto& sub : per_worker) {
-        sub.set_flow_id(batch.flow_id());
-      }
-    }
-    // Same for the dispatch-time SLO stamp: every sub-batch inherits the
-    // moment the whole batch entered the runtime.
-    if constexpr (requires {
-                    per_worker[0].set_dispatch_tsc(batch.dispatch_tsc());
-                  }) {
-      for (auto& sub : per_worker) {
-        sub.set_dispatch_tsc(batch.dispatch_tsc());
-      }
+    const std::size_t n = batch.size();
+    // Each item's worker, and each worker's share, kept per thread so the
+    // steady state allocates nothing.
+    thread_local std::vector<std::uint32_t> home;
+    thread_local std::vector<std::uint32_t> share;
+    home.resize(n);
+    share.assign(rings_.size(), 0);
+    const auto items = batch.begin();
+    for (std::size_t i = 0; i < n; ++i) {
+      home[i] = static_cast<std::uint32_t>(WorkerForTuple(items[i].tuple));
+      ++share[home[i]];
     }
     std::size_t sent = 0;
-    for (std::size_t w = 0; w < queues_.size(); ++w) {
-      if (per_worker[w].empty()) {
+    for (std::size_t w = 0; w < rings_.size(); ++w) {
+      if (share[w] == 0) {
         continue;
       }
-      const std::size_t items = per_worker[w].size();
-      auto result =
-          queues_[w]->Send(lin::Own<Batch>::Make(std::move(per_worker[w])));
-      if (result.ok) {
+      // Fires before the ring is touched: an injected panic leaves the ring
+      // as it was, and the unsent shares die with `batch` in the unwind.
+      LINSYS_FAULT_POINT("channel.send");
+      const bool published = rings_[w]->Publish([&](FlowBatch& slot) {
+        slot.Clear();
+        slot.Reserve(n);  // one growth per slot for a given burst size
+        for (std::size_t i = 0; i < n; ++i) {
+          if (home[i] == w) {
+            slot.Push(items[i]);
+          }
+        }
+        slot.set_flow_id(batch.flow_id());
+        slot.set_dispatch_tsc(batch.dispatch_tsc());
+      });
+      if (published) {
         sub_batches_steered_.fetch_add(1, std::memory_order_relaxed);
         per_worker_steered_[w].fetch_add(1, std::memory_order_relaxed);
         ++sent;
       } else {
         refused_sub_batches_.fetch_add(1, std::memory_order_relaxed);
-        dropped_items_.fetch_add(items, std::memory_order_relaxed);
+        dropped_items_.fetch_add(share[w], std::memory_order_relaxed);
       }
     }
     return sent;
   }
 
-  // Which worker an item's flow maps to: the seeded 5-tuple hash modulo the
-  // worker count, fixed for the dispatcher's lifetime.
-  template <typename Item>
-  std::size_t WorkerFor(const Item& item) const {
-    return WorkerForTuple(item.Tuple());
+  // Publishes an empty slot to `worker`, so a worker parked on its empty
+  // ring reaches a batch boundary (the checkpoint driver's nudge). Returns
+  // false once the ring is closed.
+  bool Nudge(std::size_t worker) {
+    return ring(worker).Publish([](FlowBatch& slot) { slot.Clear(); });
   }
+
+  // The worker side, one thread per ring. Await polls, then parks, until
+  // `worker`'s ring has a published slot (true) or is closed and drained
+  // (false). Take then swaps the oldest published slot's batch with `spare`
+  // and releases the slot; it requires a preceding Await() == true.
+  bool Await(std::size_t worker) { return ring(worker).Await(); }
+  void Take(std::size_t worker, FlowBatch& spare) { ring(worker).Take(spare); }
+
+  // Which worker a flow maps to: the seeded 5-tuple hash modulo the worker
+  // count, fixed for the dispatcher's lifetime.
   std::size_t WorkerForTuple(const FiveTuple& tuple) const {
-    return static_cast<std::size_t>(tuple.Hash(seed_) % queues_.size());
+    return static_cast<std::size_t>(tuple.Hash(seed_) % rings_.size());
+  }
+
+  // Published, not yet taken slots on `worker`'s ring: an advisory snapshot
+  // for gauges and pacing.
+  std::size_t QueueDepth(std::size_t worker) const {
+    return ring(worker).Depth();
   }
 
   // Queue-depth spread across workers (max - min), read by the
@@ -117,46 +238,40 @@ class BasicRssDispatcher {
   std::size_t QueueImbalance() const {
     std::size_t min_depth = SIZE_MAX;
     std::size_t max_depth = 0;
-    for (const auto& queue : queues_) {
-      const std::size_t depth = queue->size();
-      min_depth = depth < min_depth ? depth : min_depth;
-      max_depth = depth > max_depth ? depth : max_depth;
+    for (const auto& r : rings_) {
+      const std::size_t depth = r->Depth();
+      min_depth = std::min(min_depth, depth);
+      max_depth = std::max(max_depth, depth);
     }
-    return queues_.empty() ? 0 : max_depth - min_depth;
+    return max_depth - min_depth;
   }
 
-  // The worker side: blocking receive of the next steered sub-batch.
-  sfi::Channel<Batch>& queue(std::size_t worker) {
-    LINSYS_ASSERT(worker < queues_.size(), "worker index out of range");
-    return *queues_[worker];
-  }
-
+  // Closes every ring: later publishes are refused, parked producers are
+  // refused, and each worker's Await returns false once its ring is drained.
   void Shutdown() {
-    for (auto& queue : queues_) {
-      queue->Close();
+    for (auto& r : rings_) {
+      r->Close();
     }
   }
 
-  std::size_t worker_count() const { return queues_.size(); }
+  std::size_t worker_count() const { return rings_.size(); }
 
-  // Number of Dispatch() calls — i.e. input batches steered. (This used to
-  // count per-worker sub-batches, which over-reported by up to worker_count
-  // per call; sub-batch counts live in sub_batches_steered() now.)
+  // Number of Dispatch() calls — i.e. input batches steered.
   std::uint64_t batches_steered() const {
     return dispatch_calls_.load(std::memory_order_relaxed);
   }
-  // Total per-worker sub-batches enqueued across all Dispatch() calls.
+  // Total per-worker sub-batches published across all Dispatch() calls.
   std::uint64_t sub_batches_steered() const {
     return sub_batches_steered_.load(std::memory_order_relaxed);
   }
-  // Sub-batches enqueued to one specific worker.
+  // Sub-batches published to one specific worker.
   std::uint64_t steered_to(std::size_t worker) const {
     LINSYS_ASSERT(worker < per_worker_steered_.size(),
                   "worker index out of range");
     return per_worker_steered_[worker].load(std::memory_order_relaxed);
   }
-  // Sub-batches refused by a closed worker channel, and the items those
-  // refusals dropped. Nonzero only when Dispatch raced a Shutdown.
+  // Sub-batches refused by a closed ring, and the items those refusals
+  // dropped. Nonzero only when Dispatch raced a Shutdown.
   std::uint64_t refused_sub_batches() const {
     return refused_sub_batches_.load(std::memory_order_relaxed);
   }
@@ -165,17 +280,211 @@ class BasicRssDispatcher {
   }
 
  private:
+  // One worker's bounded ring. head_/tail_ count slots taken/published since
+  // construction; slot k lives at k % depth.
+  class Ring {
+   public:
+    Ring(std::size_t depth, std::size_t worker, obs::Counter* worker_parks,
+         obs::Counter* dispatch_waits)
+        : slots_(depth),
+          worker_(worker),
+          worker_parks_(worker_parks),
+          dispatch_waits_(dispatch_waits) {}
+
+    Ring(const Ring&) = delete;
+    Ring& operator=(const Ring&) = delete;
+
+    // Producer side: waits for a free slot, lets `fill` write it, and
+    // publishes it. Returns false, with nothing filled, once the ring is
+    // closed.
+    template <typename Fill>
+    bool Publish(Fill&& fill) {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!WaitForRoom(lock)) {
+        return false;
+      }
+      const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+      fill(slots_[t % slots_.size()].batch);
+      // seq_cst: the store half of the handshake with Await's park.
+      tail_.store(t + 1, std::memory_order_seq_cst);
+      lock.unlock();
+      if (worker_parked_.load(std::memory_order_seq_cst) != 0) {
+        worker_parked_.store(0, std::memory_order_seq_cst);
+        worker_parked_.notify_one();
+      }
+      return true;
+    }
+
+    bool Await() {
+      const std::uint64_t h = head_.load(std::memory_order_relaxed);
+      if (tail_.load(std::memory_order_acquire) != h) {
+        return true;
+      }
+      const auto poll_end = std::chrono::steady_clock::now() + kPollBeforePark;
+      while (true) {
+        for (int i = 0; i < 64; ++i) {
+          if (tail_.load(std::memory_order_acquire) != h) {
+            return true;
+          }
+          // closed_ is set after the last publish (both under mu_), so once
+          // it reads true the tail is final.
+          if (closed_.load(std::memory_order_acquire)) {
+            return tail_.load(std::memory_order_acquire) != h;
+          }
+          CpuRelax();
+        }
+        if (std::chrono::steady_clock::now() < poll_end) {
+          std::this_thread::yield();  // see "Waiting" above
+          continue;
+        }
+        // Announce, then re-check: a publish or Close either sees the
+        // announcement and wakes us, or lands before the re-check.
+        worker_parked_.store(1, std::memory_order_seq_cst);
+        if (tail_.load(std::memory_order_seq_cst) != h ||
+            closed_.load(std::memory_order_seq_cst)) {
+          worker_parked_.store(0, std::memory_order_relaxed);
+          continue;
+        }
+        if (worker_parks_ != nullptr) {
+          worker_parks_->Inc(worker_);
+        }
+        worker_parked_.wait(1, std::memory_order_seq_cst);
+      }
+    }
+
+    void Take(FlowBatch& spare) {
+      // Fires before the slot is taken: an injected panic leaves it
+      // published for the next Take.
+      LINSYS_FAULT_POINT("channel.recv");
+      const std::uint64_t h = head_.load(std::memory_order_relaxed);
+      LINSYS_ASSERT(tail_.load(std::memory_order_acquire) != h,
+                    "Take needs a published slot (call Await first)");
+      std::swap(slots_[h % slots_.size()].batch, spare);
+      // seq_cst: the store half of the handshake with a producer's park.
+      head_.store(h + 1, std::memory_order_seq_cst);
+      // One wake per park: the first take after a producer announced clears
+      // the announcement, so the takes behind it make no syscall.
+      if (producer_wake_wanted_.load(std::memory_order_seq_cst) != 0 &&
+          producer_wake_wanted_.exchange(0, std::memory_order_seq_cst) != 0) {
+        WakeProducers();
+      }
+    }
+
+    void Close() {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        closed_.store(true, std::memory_order_seq_cst);
+      }
+      WakeProducers();
+      worker_parked_.store(0, std::memory_order_seq_cst);
+      worker_parked_.notify_one();
+    }
+
+    std::size_t Depth() const {
+      // Acquire on head: the worker advanced it only after reading a tail at
+      // least that far, so the tail read below cannot be behind it.
+      const std::uint64_t h = head_.load(std::memory_order_acquire);
+      const std::uint64_t t = tail_.load(std::memory_order_acquire);
+      return static_cast<std::size_t>(
+          std::min<std::uint64_t>(t - h, slots_.size()));
+    }
+
+   private:
+    // Padded so a producer filling one slot and the worker taking the next do
+    // not share a cache line.
+    struct alignas(64) Slot {
+      FlowBatch batch;
+    };
+
+    static void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#else
+      std::this_thread::yield();
+#endif
+    }
+
+    void WakeProducers() {
+      room_seq_.fetch_add(1, std::memory_order_seq_cst);
+      room_seq_.notify_all();
+    }
+
+    // Called and returns with mu_ held; true once a slot is free, false once
+    // the ring is closed. Polls with the lock held, then parks without it.
+    bool WaitForRoom(std::unique_lock<std::mutex>& lock) {
+      bool polling = false;
+      std::chrono::steady_clock::time_point poll_end;
+      while (true) {
+        if (closed_.load(std::memory_order_relaxed)) {
+          return false;
+        }
+        const std::uint64_t t = tail_.load(std::memory_order_relaxed);
+        if (t - head_seen_ < slots_.size()) {
+          return true;
+        }
+        head_seen_ = head_.load(std::memory_order_acquire);
+        if (t - head_seen_ < slots_.size()) {
+          return true;
+        }
+        if (!polling) {
+          polling = true;
+          poll_end = std::chrono::steady_clock::now() + kPollBeforePark;
+        }
+        if (std::chrono::steady_clock::now() < poll_end) {
+          for (int i = 0; i < 64; ++i) {
+            CpuRelax();
+          }
+          std::this_thread::yield();  // see "Waiting" above
+          continue;
+        }
+        // Park with the lock released, so Close can take it. Several
+        // producers may park at once, so parking is an event count: read the
+        // wake sequence, announce, re-check, and sleep only while no wake has
+        // been issued since the read.
+        const std::uint64_t seen = head_seen_;
+        lock.unlock();
+        const std::uint32_t seq = room_seq_.load(std::memory_order_seq_cst);
+        producer_wake_wanted_.store(1, std::memory_order_seq_cst);
+        if (head_.load(std::memory_order_seq_cst) == seen &&
+            !closed_.load(std::memory_order_seq_cst)) {
+          if (dispatch_waits_ != nullptr) {
+            dispatch_waits_->Inc();
+          }
+          room_seq_.wait(seq, std::memory_order_seq_cst);
+        }
+        lock.lock();
+        polling = false;
+      }
+    }
+
+    std::vector<Slot> slots_;
+    const std::size_t worker_;
+    obs::Counter* const worker_parks_;
+    obs::Counter* const dispatch_waits_;
+
+    std::mutex mu_;  // producer lock: guards publishing, head_seen_, closing
+    std::uint64_t head_seen_ = 0;  // producer's cached head_, under mu_
+    alignas(64) std::atomic<std::uint64_t> tail_{0};  // written under mu_
+    alignas(64) std::atomic<std::uint64_t> head_{0};  // written by the worker
+    alignas(64) std::atomic<bool> closed_{false};     // written under mu_
+    std::atomic<std::uint32_t> worker_parked_{0};     // the one worker's flag
+    std::atomic<std::uint32_t> producer_wake_wanted_{0};  // a producer parks
+    std::atomic<std::uint32_t> room_seq_{0};  // bumped per producer wake
+  };
+
+  Ring& ring(std::size_t worker) const {
+    LINSYS_ASSERT(worker < rings_.size(), "worker index out of range");
+    return *rings_[worker];
+  }
+
   std::uint64_t seed_;
-  std::vector<std::unique_ptr<sfi::Channel<Batch>>> queues_;
+  std::vector<std::unique_ptr<Ring>> rings_;
   std::atomic<std::uint64_t> dispatch_calls_{0};
   std::atomic<std::uint64_t> sub_batches_steered_{0};
   std::atomic<std::uint64_t> refused_sub_batches_{0};
   std::atomic<std::uint64_t> dropped_items_{0};
   std::vector<std::atomic<std::uint64_t>> per_worker_steered_;
 };
-
-// The classic NIC-shaped instantiation: steer already-built packets.
-using RssDispatcher = BasicRssDispatcher<PacketBatch>;
 
 }  // namespace net
 

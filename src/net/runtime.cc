@@ -27,6 +27,8 @@ std::string RuntimeStats::Summary() const {
   s += " queue_hwm=" + std::to_string(totals.queue_hwm);
   s += " dispatched=" + std::to_string(dispatch_calls);
   s += " sub_batches=" + std::to_string(sub_batches);
+  s += " worker_parks=" + std::to_string(worker_parks);
+  s += " dispatch_waits=" + std::to_string(dispatch_waits);
   if (rejected_dispatches > 0) {
     s += " rejected=" + std::to_string(rejected_dispatches);
   }
@@ -85,7 +87,10 @@ std::string RuntimeStats::Summary() const {
 }
 
 Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
-    : config_(config), rss_(config.workers, config.queue_depth) {
+    : config_(config),
+      rss_(config.workers, config.queue_depth,
+           registry_.GetCounter("runtime.worker_parks_total", config.workers),
+           registry_.GetCounter("runtime.dispatch_waits_total")) {
   LINSYS_ASSERT(config_.frame_len >= kPayloadOffset + kFlowSeqBytes,
                 "frame_len too small for the per-flow sequence stamp");
   LINSYS_ASSERT(!config_.ckpt.enabled || config_.isolated,
@@ -101,6 +106,12 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
   telemetry_.recoveries =
       registry_.GetCounter("runtime.recoveries_total", shards);
   telemetry_.stalls = registry_.GetCounter("runtime.stalls_total", shards);
+  // Incremented by the rings, on their park paths only (rss.h): a worker
+  // parking on its empty ring, a producer parking on a full one.
+  telemetry_.worker_parks =
+      registry_.GetCounter("runtime.worker_parks_total", shards);
+  telemetry_.dispatch_waits =
+      registry_.GetCounter("runtime.dispatch_waits_total");
   telemetry_.rejected_dispatches =
       registry_.GetCounter("runtime.rejected_dispatches_total");
   telemetry_.dispatch_faults =
@@ -150,7 +161,7 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
       registry_.GetHistogram("runtime.ckpt_pause_cycles", shards);
   telemetry_.failover_resync_cycles =
       registry_.GetHistogram("runtime.failover_resync_cycles");
-  // Imbalance is computed from live queue depths at scrape time.
+  // Imbalance is computed from live ring depths at scrape time.
   registry_.RegisterGaugeFn("runtime.queue_imbalance", [this] {
     return static_cast<std::int64_t>(rss_.QueueImbalance());
   });
@@ -270,12 +281,12 @@ void Runtime::Shutdown() {
   if (!started_) {
     return;  // never ran; nothing to join — but Start is now refused too
   }
-  // Closing the channels lets workers drain whatever is queued, then exit
-  // (Channel::Recv returns nullopt only after close-and-drained). The
-  // supervisor keeps running until after the join so in-flight faults are
-  // still recovered during the drain. The rx thread (if any) sees rx_stop_
-  // at its next pause/dispatch check; a Send it is blocked in is woken by
-  // the close (and refused, which the steer counters record).
+  // Closing the rings lets workers drain whatever is queued, then exit
+  // (Await returns false only after close-and-drained). The supervisor keeps
+  // running until after the join so in-flight faults are still recovered
+  // during the drain. The rx thread (if any) sees rx_stop_ at its next
+  // pause/dispatch check; a publish it is parked in on a full ring is woken
+  // by the close (and refused, which the steer counters record).
   rss_.Shutdown();
   for (auto& w : workers_) {
     if (w->thread.joinable()) {
@@ -349,33 +360,32 @@ void Runtime::WorkerMain(Worker& w) {
                                              std::to_string(w.index));
   // Scope per-worker fault plans ("net.worker:<i>/<site>") to this thread.
   util::FaultInjector::SetThreadTag("net.worker:" + std::to_string(w.index));
-  auto& queue = rss_.queue(w.index);
-  // A worker with nothing to do sleeps in a plain blocking Recv — zero
-  // wakeups, zero polling. The checkpoint driver wakes an idle worker with an
-  // empty FlowBatch (a nudge) so it reaches a batch boundary.
+  // The worker's spare batch: each Take swaps it into the ring slot it
+  // empties, so the slots' item buffers circulate instead of being
+  // reallocated.
+  FlowBatch batch;
+  // A worker with nothing to do polls its ring briefly, then parks until a
+  // publish wakes it. The checkpoint driver wakes an idle worker with an
+  // empty slot (a nudge) so it reaches a batch boundary.
   while (true) {
-    const std::size_t depth = queue.size();
+    const std::size_t depth = rss_.QueueDepth(w.index);
     telemetry_.queue_depth->Set(w.index, static_cast<std::int64_t>(depth));
     telemetry_.queue_hwm->SetMax(w.index, static_cast<std::int64_t>(depth));
     w.busy.store(false, std::memory_order_release);
-    std::optional<lin::Own<FlowBatch>> handle;
+    // The poll and the park are idle time, outside the "pop" profiler phase.
+    if (!rss_.Await(w.index)) {
+      break;  // closed and drained
+    }
     try {
-      // Profile attribution: CPU burned taking the queue (lock, dequeue) is
-      // "pop"; a blocked Recv accrues no CPU time, so parked waits do not
-      // pollute the pop bucket.
       obs::ScopedProfilerPhase pop_phase(obs::ProfilerPhase::kPop);
-      handle = queue.Recv();
+      rss_.Take(w.index, batch);
     } catch (const util::PanicError&) {
-      // An injected channel.recv fault fires before the dequeue, so the
-      // message is still queued: count the fault and take it next iteration.
+      // An injected channel.recv fault fires before the slot is taken, so it
+      // stays published: count the fault and take it next iteration.
       telemetry_.faults->Inc(w.index);
       LINSYS_TRACE_INSTANT_ARG("runtime.recv_fault", w.index);
       continue;
     }
-    if (!handle.has_value()) {
-      break;  // closed and drained
-    }
-    FlowBatch batch = handle->Take();
     // The queue→service split point: everything before this stamp is queue
     // wait, everything after is service — except the fence pause charged
     // just below.
@@ -387,11 +397,11 @@ void Runtime::WorkerMain(Worker& w) {
     batch.set_fence_cycles(MaybeCaptureCheckpoint(w));
     if (batch.empty()) {
       // Checkpoint nudge (real sub-batches are never empty: Dispatch only
-      // enqueues non-empty per-worker groups). Not counted as a batch.
+      // publishes non-empty per-worker shares). Not counted as a batch.
       continue;
     }
     w.busy.store(true, std::memory_order_release);
-    ProcessFlows(w, std::move(batch));
+    ProcessFlows(w, batch);
     w.heartbeat.fetch_add(1, std::memory_order_release);
   }
   w.busy.store(false, std::memory_order_release);
@@ -402,7 +412,7 @@ void Runtime::WorkerMain(Worker& w) {
 std::size_t Runtime::MaxQueueDepth() {
   std::size_t max_depth = 0;
   for (std::size_t i = 0; i < rss_.worker_count(); ++i) {
-    max_depth = std::max(max_depth, rss_.queue(i).size());
+    max_depth = std::max(max_depth, rss_.QueueDepth(i));
   }
   return max_depth;
 }
@@ -439,15 +449,11 @@ void Runtime::RxMain(FlowFeeder* feeder, std::uint64_t batches) {
   util::FaultInjector::SetThreadTag("net.rx");
   const PacedRxConfig& rx = config_.paced_rx;
   // High-water mark in sub-batches. Dispatch adds at most one sub-batch per
-  // queue per burst, so queues never exceed mark+1 while rx is the sole
-  // producer — pacing replaces blocking inside a full channel.
-  const std::size_t mark =
-      config_.queue_depth > 0
-          ? std::max<std::size_t>(
-                1, static_cast<std::size_t>(rx.high_water_frac *
-                                            static_cast<double>(
-                                                config_.queue_depth)))
-          : 48;
+  // ring per burst, so rings never exceed mark+1 while rx is the sole
+  // producer — pacing replaces parking on a full ring.
+  const std::size_t mark = std::max<std::size_t>(
+      1, static_cast<std::size_t>(rx.high_water_frac *
+                                  static_cast<double>(config_.queue_depth)));
   const auto pause = std::chrono::microseconds(rx.pause_us == 0 ? 1 : rx.pause_us);
   for (std::uint64_t i = 0; i < batches; ++i) {
     while (!rx_stop_.load(std::memory_order_relaxed) &&
@@ -509,7 +515,7 @@ void Runtime::RecordDelivery(Worker& w, const FlowBatch& flows) {
   telemetry_.latency_fence_cycles->Record(w.index, fence);
 }
 
-void Runtime::ProcessFlows(Worker& w, FlowBatch flows) {
+void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   LINSYS_TRACE_SPAN("runtime.batch");
   // Re-enter the flow's context on this worker: instrumentation below here
   // (stage crossings, fault capture, exemplars) tags what it records with
@@ -803,15 +809,16 @@ bool Runtime::CheckpointLive() {
       if (std::chrono::steady_clock::now() >= deadline) {
         break;
       }
-      // Nudge workers that have not deposited and whose queue is empty:
-      // those are parked in a blocking Recv and will never reach a batch
-      // boundary on their own (an empty-queue Send cannot block; a busy
-      // worker reaches its boundary naturally). Re-checked every iteration
-      // — a queue that drains right after this scan gets the next nudge.
+      // Nudge workers that have not deposited and whose ring is empty:
+      // those are polling or parked in Await and will never reach a batch
+      // boundary on their own (a publish to an empty ring cannot wait; a
+      // busy worker reaches its boundary naturally). Re-checked every
+      // iteration — a ring that drains right after this scan gets the next
+      // nudge.
       lock.unlock();
       for (std::size_t i = 0; i < workers_.size(); ++i) {
-        if (!seen[i] && rss_.queue(i).size() == 0) {
-          (void)rss_.queue(i).Send(lin::Own<FlowBatch>::Make(FlowBatch{}));
+        if (!seen[i] && rss_.QueueDepth(i) == 0) {
+          (void)rss_.Nudge(i);
         }
       }
       lock.lock();
@@ -926,6 +933,8 @@ RuntimeStats Runtime::Stats() const {
   s.rejected_dispatches = telemetry_.rejected_dispatches->Value();
   s.steer_refused_sub_batches = rss_.refused_sub_batches();
   s.steer_dropped_items = rss_.dropped_items();
+  s.worker_parks = telemetry_.worker_parks->Value();
+  s.dispatch_waits = telemetry_.dispatch_waits->Value();
   s.rx_batches = telemetry_.rx_batches->Value();
   s.rx_pauses = telemetry_.rx_pauses->Value();
   s.ckpt_epochs = telemetry_.ckpt_epochs->Value();
@@ -959,6 +968,7 @@ RuntimeStats Runtime::Stats() const {
     t.faults = telemetry_.faults->ShardValue(w->index);
     t.recoveries = telemetry_.recoveries->ShardValue(w->index);
     t.stalls = telemetry_.stalls->ShardValue(w->index);
+    t.parks = telemetry_.worker_parks->ShardValue(w->index);
     t.queue_hwm = static_cast<std::size_t>(
         telemetry_.queue_hwm->ShardValue(w->index));
     const Mempool::CountersView pool = w->pool.Counters();
@@ -996,6 +1006,7 @@ RuntimeStats Runtime::Stats() const {
     s.totals.recoveries += t.recoveries;
     s.totals.recovery_panics += t.recovery_panics;
     s.totals.stalls += t.stalls;
+    s.totals.parks += t.parks;
     s.totals.quarantined += t.quarantined;
     s.totals.queue_hwm = std::max(s.totals.queue_hwm, t.queue_hwm);
     s.packets_per_worker.Add(static_cast<double>(t.packets));

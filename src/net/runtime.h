@@ -8,14 +8,18 @@
 //   * Each worker thread owns a full replica of the pipeline — its own SFI
 //     domains (one per stage, from its own DomainManager), its own Mempool,
 //     and therefore its own flow state. Nothing is shared between workers
-//     but the steering channels, so there are no locks on the packet path.
+//     but the steering rings, so there are no locks on the packet path.
 //   * A dispatcher (any producer thread) samples flows and steers *flow
-//     descriptors* through a BasicRssDispatcher<FlowBatch>. Steering
-//     descriptors instead of buffers is what makes the mempool single-owner
-//     contract structural: frames are materialized from — and returned to —
-//     the worker's own pool on the worker's own thread, so cross-thread
-//     Free cannot be expressed. (This mirrors hardware RSS, where the NIC
-//     hashes and steers before any buffer from the queue's pool is used.)
+//     descriptors* through an RssDispatcher, into one bounded ring of
+//     reusable FlowBatch slots per worker (rss.h): no allocation and no
+//     lock on the worker's side of the handoff, and a worker that finds its
+//     ring empty polls briefly, then parks until a publish wakes it.
+//     Steering descriptors instead of buffers is what makes the mempool
+//     single-owner contract structural: frames are materialized from — and
+//     returned to — the worker's own pool on the worker's own thread, so
+//     cross-thread Free cannot be expressed. (This mirrors hardware RSS,
+//     where the NIC hashes and steers before any buffer from the queue's
+//     pool is used.)
 //   * A supervisor thread recovers faulted stage domains under a retry
 //     policy with exponential backoff; a panic inside a recovery function is
 //     contained and re-queued; a stage that accumulates
@@ -71,62 +75,6 @@
 #include "src/util/stats.h"
 
 namespace net {
-
-// One unit of steered work: which flow, and its per-flow sequence number
-// (stamped into the frame payload so per-flow ordering is observable end to
-// end).
-struct FlowWork {
-  FiveTuple tuple;
-  std::uint64_t seq = 0;
-
-  const FiveTuple& Tuple() const { return tuple; }
-};
-
-// Batch of flow descriptors — the Batch concept BasicRssDispatcher needs.
-class FlowBatch {
- public:
-  FlowBatch() = default;
-  explicit FlowBatch(std::size_t reserve) { work_.reserve(reserve); }
-
-  void Push(FlowWork w) { work_.push_back(w); }
-  std::size_t size() const { return work_.size(); }
-  bool empty() const { return work_.empty(); }
-
-  auto begin() { return work_.begin(); }
-  auto end() { return work_.end(); }
-  auto begin() const { return work_.begin(); }
-  auto end() const { return work_.end(); }
-
-  // Trace-correlation id assigned by Runtime::Dispatch (0 = unassigned).
-  // BasicRssDispatcher copies it onto every per-worker sub-batch, so the
-  // whole fan-out shares one async track.
-  std::uint64_t flow_id() const { return flow_id_; }
-  void set_flow_id(std::uint64_t id) { flow_id_ = id; }
-
-  // Dispatch-time cycle stamp (0 = unstamped), carried through fan-out
-  // exactly like flow_id, so the delivery-side read measures true
-  // end-to-end latency — including queue wait — not just pipeline time.
-  std::uint64_t dispatch_tsc() const { return dispatch_tsc_; }
-  void set_dispatch_tsc(std::uint64_t tsc) { dispatch_tsc_ = tsc; }
-
-  // Pop-time cycle stamp (0 = unstamped): when the owning worker took the
-  // batch off its queue. Splits delivery latency into its queue
-  // (dispatch→pop) and service (pop→delivery) halves.
-  std::uint64_t pop_tsc() const { return pop_tsc_; }
-  void set_pop_tsc(std::uint64_t tsc) { pop_tsc_ = tsc; }
-
-  // Cycles the batch stalled behind a checkpoint capture (the pause its
-  // worker took between popping it and processing it).
-  std::uint64_t fence_cycles() const { return fence_cycles_; }
-  void set_fence_cycles(std::uint64_t c) { fence_cycles_ = c; }
-
- private:
-  std::vector<FlowWork> work_;
-  std::uint64_t flow_id_ = 0;
-  std::uint64_t dispatch_tsc_ = 0;
-  std::uint64_t pop_tsc_ = 0;
-  std::uint64_t fence_cycles_ = 0;
-};
 
 // Sequence numbers ride in the first 8 payload bytes (host order).
 inline constexpr std::size_t kFlowSeqBytes = 8;
@@ -198,14 +146,13 @@ struct SupervisionConfig {
 };
 
 // Paced rx thread (RuntimeConfig::paced_rx): a dedicated producer that
-// pulls from a FlowFeeder and paces Dispatch against per-queue high-water
-// marks instead of blocking inside a full channel.
+// pulls from a FlowFeeder and paces Dispatch against per-ring high-water
+// marks instead of blocking on a full ring.
 struct PacedRxConfig {
   bool enabled = false;
   std::size_t burst = 32;        // flow descriptors per Dispatch
-  // Pause while any worker queue is at/above this fraction of queue_depth
-  // (in sub-batches). With queue_depth == 0 (unbounded) the mark falls back
-  // to 48 sub-batches.
+  // Pause while any worker ring holds at least this fraction of queue_depth
+  // (in sub-batches; at least 1).
   double high_water_frac = 0.75;
   std::uint32_t pause_us = 20;   // sleep quantum while above the mark
 };
@@ -224,7 +171,7 @@ struct CkptConfig {
 
 struct RuntimeConfig {
   std::size_t workers = 1;
-  std::size_t queue_depth = 64;       // per-worker channel bound (0 = none)
+  std::size_t queue_depth = 64;       // slots per worker ring (> 0)
   std::size_t pool_capacity = 4096;   // per-worker mempool slots
   std::size_t buf_size = 2048;
   std::uint16_t frame_len = 64;
@@ -272,7 +219,8 @@ struct WorkerTelemetry {
   std::uint64_t recovery_panics = 0;  // recovery fns contained mid-panic
   std::uint64_t stalls = 0;      // watchdog stuck-worker detections
   std::size_t quarantined = 0;   // stages currently quarantined on this shard
-  std::size_t queue_hwm = 0;     // steering-queue depth high-water mark
+  std::size_t queue_hwm = 0;     // steering-ring depth high-water mark
+  std::uint64_t parks = 0;       // times the worker parked on its empty ring
 };
 
 // Cross-worker aggregate for one pipeline stage (summed over replicas).
@@ -300,10 +248,14 @@ struct RuntimeStats {
   std::uint64_t dispatch_calls = 0;    // input batches steered
   std::uint64_t sub_batches = 0;       // per-worker sub-batches enqueued
   std::uint64_t rejected_dispatches = 0;  // Dispatch() outside Start..Shutdown
-  // Silent-loss accounting (bugfix): sub-batches a closed worker channel
+  // Silent-loss accounting (bugfix): sub-batches a closed worker ring
   // refused at dispatch, and the flow descriptors dropped with them.
   std::uint64_t steer_refused_sub_batches = 0;
   std::uint64_t steer_dropped_items = 0;
+  // Wakes: parks of workers on empty rings (the per-worker split is in
+  // WorkerTelemetry::parks), and of producers on full rings.
+  std::uint64_t worker_parks = 0;
+  std::uint64_t dispatch_waits = 0;
   // Paced rx.
   std::uint64_t rx_batches = 0;        // bursts dispatched by the rx thread
   std::uint64_t rx_pauses = 0;         // high-water pauses the rx thread took
@@ -355,8 +307,8 @@ class Runtime {
   // Shutdown (lifecycle transitions are serialized); a no-op after Shutdown.
   void Start();
 
-  // Steers a batch of flow descriptors to the workers. Blocks when a
-  // worker's queue is at queue_depth (backpressure). Safe to call from
+  // Steers a batch of flow descriptors to the workers. Blocks while a
+  // worker's ring is full (backpressure). Safe to call from
   // multiple producer threads, and defined at any lifecycle point: before
   // Start() and after Shutdown() the batch is refused — the call returns
   // false and RuntimeStats::rejected_dispatches counts it.
@@ -367,8 +319,8 @@ class Runtime {
     }
     LINSYS_TRACE_SPAN("runtime.dispatch");
     // Flow correlation starts here: one process-unique id per dispatched
-    // batch, stamped onto the batch (and by RSS onto its per-worker
-    // sub-batches) and opening the flow's async track. Cost when tracing
+    // batch, stamped onto the batch (and by RSS into its per-worker
+    // slots) and opening the flow's async track. Cost when tracing
     // and net metrics are off: one relaxed RMW per *batch*.
     const std::uint64_t flow_id = obs::NextFlowId();
     batch.set_flow_id(flow_id);
@@ -383,9 +335,9 @@ class Runtime {
     try {
       rss_.Dispatch(std::move(batch));
     } catch (const util::PanicError&) {
-      // An injected channel.send fault: the not-yet-sent sub-batches died
-      // with the unwind (flow descriptors only, no packet buffers) and the
-      // worker queues are untouched — count it and refuse the batch.
+      // An injected channel.send fault: the not-yet-sent shares died with
+      // the unwind (flow descriptors only, no packet buffers) and their
+      // rings are untouched — count it and refuse the batch.
       telemetry_.dispatch_faults->Inc();
       return false;
     }
@@ -404,7 +356,7 @@ class Runtime {
 
   // Starts the paced rx thread: it pulls `batches` bursts of
   // config.paced_rx.burst descriptors from `feeder` and dispatches each,
-  // pausing while any worker queue sits at/above the high-water mark.
+  // pausing while any worker ring sits at/above the high-water mark.
   // Requires paced_rx.enabled, a started runtime, and at most one rx thread
   // at a time. The thread also stops early at Shutdown.
   void StartPacedRx(FlowFeeder* feeder, std::uint64_t batches);
@@ -412,7 +364,7 @@ class Runtime {
   // stopped at shutdown) and exited.
   void WaitRxIdle();
 
-  // Closes the steering queues, lets workers drain them, joins all
+  // Closes the steering rings, lets workers drain them, joins all
   // threads. Idempotent and safe to call concurrently (including with
   // Start); called by the destructor if needed. Shutdown is terminal: a
   // later Start() is a no-op.
@@ -518,6 +470,8 @@ class Runtime {
     obs::Counter* ckpt_restore_mismatches = nullptr;
     obs::Counter* unquarantines = nullptr;
     obs::Counter* requarantines = nullptr;
+    obs::Counter* worker_parks = nullptr;    // park path only, per worker
+    obs::Counter* dispatch_waits = nullptr;  // park path only
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* queue_hwm = nullptr;
     obs::Histogram* batch_cycles = nullptr;
@@ -532,7 +486,7 @@ class Runtime {
   };
 
   void WorkerMain(Worker& w);
-  void ProcessFlows(Worker& w, FlowBatch flows);
+  void ProcessFlows(Worker& w, const FlowBatch& flows);
   // Records delivery_latency_cycles plus its exact additive decomposition
   // (queue/service/fence) for a delivered batch. No-op when the batch
   // carries no dispatch stamp.
@@ -556,10 +510,11 @@ class Runtime {
   std::string HealthzJson();
 
   RuntimeConfig config_;
-  BasicRssDispatcher<FlowBatch> rss_;
-  // Declared before workers_ so worker threads (joined in ~Worker via
-  // Shutdown) can never outlive the metrics they write to.
+  // Declared before rss_ and workers_: the rings count parks into it, and
+  // worker threads (joined in ~Worker via Shutdown) can never outlive the
+  // metrics they write to.
   obs::Registry registry_;
+  RssDispatcher rss_;
   Telemetry telemetry_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::string> stage_names_;

@@ -282,6 +282,10 @@ std::string Tracer::ExportChromeJson() const {
 }
 
 std::string Tracer::DrainChromeJson() {
+  // One drain at a time: a second drain would see the tracer already
+  // disarmed, and the first one's re-arm would let writers back into rings
+  // the second is still reading.
+  std::lock_guard<std::mutex> drain(drain_mu_);
   // Disarm (seq_cst — the drain half of the Append handshake), then wait
   // for every ring's in-flight append to retire before reading the rings.
   const bool was_armed =

@@ -144,8 +144,9 @@ class Tracer {
 
   // Live export: quiesces writers without joining them (disarm, spin until
   // every ring's in-flight append retires, export, rearm if it was armed).
-  // Safe to call from any thread while instrumented threads keep running;
-  // events attempted during the drain window are skipped, not torn.
+  // Safe to call from any thread while instrumented threads keep running,
+  // and concurrent drains run one after the other; events attempted during
+  // the drain window are skipped, not torn.
   std::string DrainChromeJson();
 
  private:
@@ -163,6 +164,7 @@ class Tracer {
   Ring* RingForThisThread();
   void Append(const TraceEvent& ev);
 
+  std::mutex drain_mu_;  // serializes DrainChromeJson calls
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Ring>> rings_;
   std::vector<std::unique_ptr<std::string>> interned_;

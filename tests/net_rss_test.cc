@@ -1,6 +1,6 @@
-// RSS dispatcher: flow-to-worker affinity, packet conservation across the
-// zero-copy handoff, counter semantics, backpressure, shutdown, and a real
-// multi-threaded run with per-worker NFs.
+// RSS dispatcher: flow-to-worker affinity, item conservation across the
+// slot-ring handoff, counter semantics, backpressure and parking on full and
+// empty rings, shutdown racing dispatch, and an allocation-free steady state.
 #include "src/net/rss.h"
 
 #include <gtest/gtest.h>
@@ -8,59 +8,88 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
+#include <new>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "src/net/mempool.h"
-#include "src/net/operators/nat.h"
+#include "src/net/operators/null_filter.h"
 #include "src/net/pktgen.h"
-#include "src/net/runtime.h"  // FlowBatch/FlowWork for bufferless steering
+#include "src/net/runtime.h"  // FlowFeeder
+#include "src/obs/metrics.h"
 #include "src/util/panic.h"
+
+// Heap allocations made by threads that set g_count_allocs: this binary
+// replaces the global operator new so the steady-state dispatch path can be
+// held to zero allocations.
+namespace {
+thread_local bool g_count_allocs = false;
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocs) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Kept out of line: inlined into a caller, GCC pairs the free() with the
+// new-expression and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace net {
 namespace {
 
-PacketBatch Traffic(Mempool& pool, std::uint64_t seed, std::size_t n,
-                    std::size_t flows = 64) {
-  PktSourceConfig cfg;
-  cfg.flow_count = flows;
-  cfg.seed = seed;
-  PktSource src(&pool, cfg);
-  PacketBatch batch(n);
-  src.RxBurst(batch, n);
-  return batch;
+// Drains `worker`'s ring on the calling thread; returns the items taken.
+// Non-blocking only once the ring is closed (Await parks on an open, empty
+// ring).
+std::size_t DrainClosed(RssDispatcher& rss, std::size_t worker) {
+  std::size_t items = 0;
+  FlowBatch batch;
+  while (rss.Await(worker)) {
+    rss.Take(worker, batch);
+    items += batch.size();
+  }
+  return items;
 }
 
-TEST(Rss, AllPacketsReachExactlyOneWorker) {
-  Mempool pool(512, 2048);
-  RssDispatcher rss(4, /*queue_depth=*/0);
-  rss.Dispatch(Traffic(pool, 1, 256));
+TEST(Rss, AllItemsReachExactlyOneWorker) {
+  RssDispatcher rss(4, /*queue_depth=*/8);
+  FlowSampler sampler(64, 0.0, 1);
+  FlowFeeder feeder(&sampler);
+  rss.Dispatch(feeder.Next(256));
   rss.Shutdown();
-  EXPECT_EQ(pool.in_use(), 256u) << "packets alive in worker queues";
 
   std::size_t total = 0;
   for (std::size_t w = 0; w < rss.worker_count(); ++w) {
-    while (auto batch = rss.queue(w).TryRecv()) {
-      total += (*batch).Borrow()->size();
-      // the Own<PacketBatch> drops here, returning its buffers
+    FlowBatch batch;
+    while (rss.Await(w)) {
+      rss.Take(w, batch);
+      for (const FlowWork& fw : batch) {
+        EXPECT_EQ(rss.WorkerForTuple(fw.tuple), w) << "item on a foreign ring";
+      }
+      total += batch.size();
     }
   }
   EXPECT_EQ(total, 256u) << "conservation across the handoff";
-  EXPECT_EQ(pool.in_use(), 0u) << "drained batches returned their buffers";
 }
 
 TEST(Rss, FlowAffinityIsStable) {
-  Mempool pool(4096, 2048);
-  RssDispatcher rss(8);
-  // The same flow must map to the same worker on every packet.
-  PacketBatch batch = Traffic(pool, 2, 512);
+  RssDispatcher rss(8, /*queue_depth=*/4);
+  FlowSampler sampler(64, 0.0, 2);
   std::map<std::uint32_t, std::size_t> flow_to_worker;
-  for (PacketBuf& pkt : batch) {
-    const auto src_ip = pkt.Tuple().src_ip;
-    const std::size_t worker = rss.WorkerFor(pkt);
-    auto [it, inserted] = flow_to_worker.emplace(src_ip, worker);
+  for (int i = 0; i < 512; ++i) {
+    const FiveTuple& tuple = sampler.Pick();
+    const std::size_t worker = rss.WorkerForTuple(tuple);
+    auto [it, inserted] = flow_to_worker.emplace(tuple.src_ip, worker);
     if (!inserted) {
       EXPECT_EQ(it->second, worker) << "flow split across workers";
     }
@@ -73,25 +102,33 @@ TEST(Rss, FlowAffinityIsStable) {
   EXPECT_GT(used.size(), 3u) << "hash spreads flows";
 }
 
-TEST(Rss, DispatcherCannotTouchSteeredBatches) {
-  Mempool pool(64, 2048);
-  RssDispatcher rss(1, 0);
-  PacketBatch batch = Traffic(pool, 3, 8);
+TEST(Rss, DispatchConsumesItsBatch) {
+  RssDispatcher rss(1, /*queue_depth=*/2);
+  FlowSampler sampler(8, 0.0, 3);
+  FlowFeeder feeder(&sampler);
+  FlowBatch batch = feeder.Next(8);
+  batch.set_flow_id(77);
+  batch.set_dispatch_tsc(1234);
   rss.Dispatch(std::move(batch));
-  // The moved-from batch is empty; the packets now belong to the worker.
+  // The moved-from batch is empty; the items now sit in the worker's slot,
+  // with the batch's stamps.
   EXPECT_EQ(batch.size(), 0u);
-  auto received = rss.queue(0).TryRecv();
-  ASSERT_TRUE(received.has_value());
-  EXPECT_EQ((*received).Borrow()->size(), 8u);
+  ASSERT_TRUE(rss.Await(0));
+  FlowBatch received;
+  rss.Take(0, received);
+  EXPECT_EQ(received.size(), 8u);
+  EXPECT_EQ(received.flow_id(), 77u);
+  EXPECT_EQ(received.dispatch_tsc(), 1234u);
+  EXPECT_EQ(received.pop_tsc(), 0u);
 }
 
 TEST(Rss, BatchesSteeredCountsDispatchCallsNotSubBatches) {
-  Mempool pool(512, 2048);
-  RssDispatcher rss(4, /*queue_depth=*/0);
+  RssDispatcher rss(4, /*queue_depth=*/4);
+  FlowSampler sampler(64, 0.0, 7);
+  FlowFeeder feeder(&sampler);
   // One input batch with many flows fans out into up to 4 sub-batches; the
-  // input-batch counter must still read 1 (it used to over-report by
-  // counting the fan-out).
-  rss.Dispatch(Traffic(pool, 7, 128));
+  // input-batch counter must still read 1.
+  rss.Dispatch(feeder.Next(128));
   EXPECT_EQ(rss.batches_steered(), 1u);
   EXPECT_GE(rss.sub_batches_steered(), 1u);
   EXPECT_LE(rss.sub_batches_steered(), 4u);
@@ -101,33 +138,29 @@ TEST(Rss, BatchesSteeredCountsDispatchCallsNotSubBatches) {
   }
   EXPECT_EQ(per_worker_sum, rss.sub_batches_steered());
 
-  rss.Dispatch(Traffic(pool, 8, 128));
+  rss.Dispatch(feeder.Next(128));
   EXPECT_EQ(rss.batches_steered(), 2u);
-
   rss.Shutdown();
   for (std::size_t w = 0; w < rss.worker_count(); ++w) {
-    while (rss.queue(w).TryRecv()) {
-    }
+    DrainClosed(rss, w);
   }
 }
 
 TEST(Rss, ConcurrentDispatchKeepsAffinityAndExactCounters) {
-  // Two producers steer flow descriptors concurrently (descriptors, not
-  // buffers: mempools are single-owner, so the bufferless FlowBatch flavour
-  // is the one that legitimately admits multi-producer dispatch).
   constexpr std::size_t kWorkers = 4;
   constexpr int kBatchesPerProducer = 100;
   constexpr std::size_t kBatchSize = 32;
 
-  BasicRssDispatcher<FlowBatch> rss(kWorkers, /*queue_depth=*/0);
+  RssDispatcher rss(kWorkers, /*queue_depth=*/8);
 
   std::atomic<std::size_t> received{0};
   std::atomic<bool> misrouted{false};
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&rss, &received, &misrouted, w] {
-      while (auto handle = rss.queue(w).Recv()) {
-        FlowBatch batch = handle->Take();
+      FlowBatch batch;
+      while (rss.Await(w)) {
+        rss.Take(w, batch);
         for (const FlowWork& fw : batch) {
           if (rss.WorkerForTuple(fw.tuple) != w) {
             misrouted = true;
@@ -169,13 +202,15 @@ TEST(Rss, ConcurrentDispatchKeepsAffinityAndExactCounters) {
 
 TEST(Rss, BackpressureBlocksDispatchAtQueueDepth) {
   // One worker, depth 2, nobody draining: the first two dispatches fill the
-  // ring, the third must block until a slot frees up.
-  BasicRssDispatcher<FlowBatch> rss(1, /*queue_depth=*/2);
+  // ring, the third parks until the worker's next take wakes it.
+  obs::Registry registry;
+  obs::Counter* waits = registry.GetCounter("waits");
+  RssDispatcher rss(1, /*queue_depth=*/2, nullptr, waits);
   FlowSampler sampler(8, 0.0, 5);
   FlowFeeder feeder(&sampler);
   rss.Dispatch(feeder.Next(4));
   rss.Dispatch(feeder.Next(4));
-  ASSERT_EQ(rss.queue(0).size(), 2u);
+  ASSERT_EQ(rss.QueueDepth(0), 2u);
 
   std::atomic<bool> third_done{false};
   std::thread producer([&] {
@@ -183,31 +218,65 @@ TEST(Rss, BackpressureBlocksDispatchAtQueueDepth) {
     third_done = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_done.load()) << "dispatch must block on a full queue";
+  EXPECT_FALSE(third_done.load()) << "dispatch must block on a full ring";
+  EXPECT_GE(waits->Value(), 1u) << "a producer past its poll parks, counted";
 
-  ASSERT_TRUE(rss.queue(0).Recv().has_value());  // free one slot
+  FlowBatch batch;
+  ASSERT_TRUE(rss.Await(0));
+  rss.Take(0, batch);  // free one slot
   producer.join();
   EXPECT_TRUE(third_done.load());
+  EXPECT_EQ(rss.QueueDepth(0), 2u);
   rss.Shutdown();
-  while (rss.queue(0).TryRecv()) {
-  }
+  EXPECT_EQ(DrainClosed(rss, 0), 8u);
 }
 
-TEST(Rss, ShutdownWakesWorkersBlockedInReceive) {
+TEST(Rss, ShutdownWakesAndRefusesAParkedProducer) {
+  obs::Registry registry;
+  obs::Counter* waits = registry.GetCounter("waits");
+  RssDispatcher rss(1, /*queue_depth=*/2, nullptr, waits);
+  FlowSampler sampler(8, 0.0, 8);
+  FlowFeeder feeder(&sampler);
+  rss.Dispatch(feeder.Next(3));
+  rss.Dispatch(feeder.Next(3));
+  std::size_t sent = 99;
+  std::thread producer([&] { sent = rss.Dispatch(feeder.Next(5)); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (waits->Value() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(waits->Value(), 1u) << "producer never parked on the full ring";
+  rss.Shutdown();
+  producer.join();
+  EXPECT_EQ(sent, 0u) << "a producer parked across Shutdown is refused";
+  EXPECT_EQ(rss.refused_sub_batches(), 1u);
+  EXPECT_EQ(rss.dropped_items(), 5u) << "the refused items are counted";
+  EXPECT_EQ(DrainClosed(rss, 0), 6u) << "what was published still drains";
+}
+
+TEST(Rss, ShutdownWakesParkedWorkers) {
   constexpr std::size_t kWorkers = 3;
-  RssDispatcher rss(kWorkers, /*queue_depth=*/4);
+  obs::Registry registry;
+  obs::Counter* parks = registry.GetCounter("parks", kWorkers);
+  RssDispatcher rss(kWorkers, /*queue_depth=*/4, parks);
   std::atomic<std::size_t> exited{0};
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
     workers.emplace_back([&rss, &exited, w] {
-      // Nothing is ever dispatched: every worker parks inside Recv().
-      while (rss.queue(w).Recv()) {
+      // Nothing is ever dispatched: every worker parks inside Await().
+      while (rss.Await(w)) {
       }
       ++exited;
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(exited.load(), 0u) << "workers should be blocked in Recv";
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (parks->Value() < kWorkers && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(exited.load(), 0u) << "workers should be parked in Await";
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    EXPECT_GE(parks->ShardValue(w), 1u) << "idle worker " << w << " never parked";
+  }
   rss.Shutdown();
   for (auto& worker : workers) {
     worker.join();
@@ -215,54 +284,111 @@ TEST(Rss, ShutdownWakesWorkersBlockedInReceive) {
   EXPECT_EQ(exited.load(), kWorkers) << "close must wake and release all";
 }
 
-TEST(Rss, MultiThreadedWorkersProcessEverything) {
+// Thousands of laps of small rings, per-flow order checked on every item,
+// with workers that stall now and then so producers keep hitting full rings.
+TEST(Rss, ManyLapsKeepPerFlowOrderThroughFullRingStalls) {
   constexpr std::size_t kWorkers = 3;
-  constexpr int kBatches = 50;
-  constexpr std::size_t kBatchSize = 32;
+  constexpr std::size_t kDepth = 4;
+  constexpr int kBatches = 10000;
+  constexpr std::size_t kBatchSize = 16;
+  obs::Registry registry;
+  obs::Counter* waits = registry.GetCounter("waits");
+  RssDispatcher rss(kWorkers, kDepth, nullptr, waits);
 
-  Mempool pool(4096, 2048);
-  RssDispatcher rss(kWorkers, /*queue_depth=*/16);
-
-  // The pool is owned by this (dispatching) thread, so workers must not
-  // destroy packets: they process and *stash* the batches, and the owning
-  // thread reclaims the buffers after the workers are done (mempool.h's
-  // single-owner contract; net::Runtime avoids the stash by giving every
-  // worker its own pool and steering descriptors instead).
-  std::atomic<std::size_t> processed{0};
-  std::vector<std::vector<PacketBatch>> stashes(kWorkers);
+  std::atomic<std::size_t> received{0};
+  std::atomic<bool> out_of_order{false};
+  std::atomic<bool> misrouted{false};
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&rss, &processed, &stashes, w] {
-      NatRewrite nat(0x05050505);  // per-worker state: no locks needed
-      while (auto handle = rss.queue(w).Recv()) {
-        PacketBatch batch = handle->Take();
-        PacketBatch out = nat.Process(std::move(batch));
-        processed += out.size();
-        stashes[w].push_back(std::move(out));
+    workers.emplace_back([&, w] {
+      std::map<std::uint32_t, std::uint64_t> next_seq;  // per-flow cursor
+      FlowBatch batch;
+      std::uint64_t takes = 0;
+      while (rss.Await(w)) {
+        rss.Take(w, batch);
+        for (const FlowWork& fw : batch) {
+          misrouted = misrouted || rss.WorkerForTuple(fw.tuple) != w;
+          auto [it, fresh] = next_seq.try_emplace(fw.tuple.src_ip, 0);
+          if (fw.seq != it->second) {
+            out_of_order = true;
+          }
+          it->second = fw.seq + 1;
+        }
+        received += batch.size();
+        if (++takes % 97 == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        }
       }
     });
   }
-
+  FlowSampler sampler(48, 0.0, 11);
+  FlowFeeder feeder(&sampler);
   for (int i = 0; i < kBatches; ++i) {
-    rss.Dispatch(Traffic(pool, 100 + static_cast<std::uint64_t>(i),
-                         kBatchSize));
+    rss.Dispatch(feeder.Next(kBatchSize));
   }
   rss.Shutdown();
   for (auto& worker : workers) {
     worker.join();
   }
-  EXPECT_EQ(processed.load(), kBatches * kBatchSize);
-  EXPECT_EQ(pool.in_use(), kBatches * kBatchSize)
-      << "buffers still alive in the stashes";
-  stashes.clear();  // owner thread returns every buffer
-  EXPECT_EQ(pool.in_use(), 0u) << "all buffers returned after processing";
+  EXPECT_FALSE(out_of_order.load()) << "a flow's items arrived out of order";
+  EXPECT_FALSE(misrouted.load());
+  EXPECT_EQ(received.load(), kBatches * kBatchSize);
+  EXPECT_GE(rss.sub_batches_steered() / (kWorkers * kDepth), 2000u)
+      << "each ring must have gone round thousands of times";
+  EXPECT_GE(waits->Value(), 1u) << "stalled workers must have filled a ring";
 }
 
-// Silent-loss bugfix: a sub-batch refused by a closed worker channel used
-// to disappear without a trace (`sent < expected` was invisible). The
-// refusal and its item count are now first-class counters.
+// Shutdown racing live producers strands nothing: every dispatched item is
+// either delivered by the workers' final drain or counted dropped. (With
+// Close setting the flag outside the producer lock, a publish filling its
+// slot across the Close lands after the worker's final drain; this loop
+// catches that within the first ten rounds.)
+TEST(Rss, DispatchRacingShutdownDeliversOrCountsEveryItem) {
+  constexpr std::size_t kWorkers = 2;
+  constexpr int kRounds = 1000;
+  for (int round = 0; round < kRounds; ++round) {
+    RssDispatcher rss(kWorkers, /*queue_depth=*/8);
+    std::atomic<std::uint64_t> delivered{0};
+    std::atomic<std::uint64_t> dispatched{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+      threads.emplace_back([&, w] {
+        FlowBatch batch;
+        while (rss.Await(w)) {
+          rss.Take(w, batch);
+          delivered += batch.size();
+        }
+      });
+    }
+    // One producer, so the workers keep a core each and poll closely, and
+    // large bursts, so a publish spends longer filling its slot.
+    threads.emplace_back([&] {
+      FlowSampler sampler(32, 0.0, static_cast<std::uint64_t>(round));
+      FlowFeeder feeder(&sampler);
+      while (!stop.load(std::memory_order_relaxed)) {
+        FlowBatch batch = feeder.Next(128);
+        dispatched += batch.size();
+        rss.Dispatch(std::move(batch));
+      }
+    });
+    // Close while the producer is mid-stream.
+    while (delivered.load() < 512) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds((round % 5) * 10));
+    rss.Shutdown();
+    stop = true;
+    for (auto& t : threads) {
+      t.join();
+    }
+    ASSERT_EQ(dispatched.load(), delivered.load() + rss.dropped_items())
+        << "round " << round << ": an item was stranded by Shutdown";
+  }
+}
+
 TEST(Rss, DispatchAfterShutdownCountsRefusalsAndDroppedItems) {
-  BasicRssDispatcher<FlowBatch> rss(2, /*queue_depth=*/0);
+  RssDispatcher rss(2, /*queue_depth=*/4);
   FlowSampler sampler(16, 0.0, 9);
   FlowFeeder feeder(&sampler);
   EXPECT_GE(rss.Dispatch(feeder.Next(32)), 1u);
@@ -271,24 +397,103 @@ TEST(Rss, DispatchAfterShutdownCountsRefusalsAndDroppedItems) {
 
   rss.Shutdown();
   EXPECT_EQ(rss.Dispatch(feeder.Next(32)), 0u)
-      << "closed channels refuse every sub-batch";
+      << "closed rings refuse every sub-batch";
   EXPECT_GE(rss.refused_sub_batches(), 1u);
   EXPECT_LE(rss.refused_sub_batches(), 2u);
   EXPECT_EQ(rss.dropped_items(), 32u)
       << "every dropped item must be accounted";
-  for (std::size_t w = 0; w < rss.worker_count(); ++w) {
-    while (rss.queue(w).TryRecv()) {
-    }
+  EXPECT_FALSE(rss.Nudge(0)) << "a closed ring refuses nudges too";
+  EXPECT_EQ(DrainClosed(rss, 0) + DrainClosed(rss, 1), 32u);
+}
+
+// After the first laps have sized every slot, steering allocates nothing:
+// no per-call vectors, no per-sub-batch box, no channel node.
+TEST(Rss, DispatchAllocatesNothingAfterTheFirstLap) {
+  constexpr std::size_t kDepth = 8;
+  constexpr int kWarm = 4 * static_cast<int>(kDepth);
+  constexpr int kMeasured = 2000;
+  RssDispatcher rss(2, kDepth);
+  std::thread worker_threads[2];
+  for (std::size_t w = 0; w < 2; ++w) {
+    worker_threads[w] = std::thread([&rss, w] {
+      FlowBatch batch;
+      while (rss.Await(w)) {
+        rss.Take(w, batch);
+      }
+    });
   }
+  // Inputs are built up front: FlowFeeder::Next allocates, Dispatch must not.
+  FlowSampler sampler(64, 0.0, 13);
+  FlowFeeder feeder(&sampler);
+  std::vector<FlowBatch> inputs;
+  inputs.reserve(kWarm + kMeasured);
+  for (int i = 0; i < kWarm + kMeasured; ++i) {
+    inputs.push_back(feeder.Next(32));
+  }
+  std::uint64_t warm_allocs = 0;
+  for (int i = 0; i < kWarm + kMeasured; ++i) {
+    if (i == kWarm) {
+      warm_allocs = g_allocs.load();
+    }
+    g_count_allocs = true;
+    rss.Dispatch(std::move(inputs[static_cast<std::size_t>(i)]));
+    g_count_allocs = false;
+  }
+  const std::uint64_t measured_allocs = g_allocs.load() - warm_allocs;
+  rss.Shutdown();
+  for (auto& t : worker_threads) {
+    t.join();
+  }
+  EXPECT_GT(warm_allocs, 0u) << "the counter must see the first lap's growth";
+  EXPECT_EQ(measured_allocs, 0u)
+      << "steady-state Dispatch allocated " << measured_allocs << " times in "
+      << kMeasured << " calls";
+}
+
+// The same holds for the runtime's whole dispatch path, stamps included.
+TEST(Rss, RuntimeDispatchAllocatesNothingAfterTheFirstLap) {
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  cfg.queue_depth = 8;
+  std::vector<StageSpec> spec;
+  spec.push_back(
+      {"null", [](std::size_t) { return std::make_unique<NullFilter>(); }});
+  Runtime rt(cfg, spec);
+  rt.Start();
+  FlowSampler sampler(64, 0.0, 14);
+  FlowFeeder feeder(&sampler);
+  std::vector<FlowBatch> inputs;
+  for (int i = 0; i < 1032; ++i) {
+    inputs.push_back(feeder.Next(32));
+  }
+  std::uint64_t warm_allocs = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    if (i == 32) {
+      warm_allocs = g_allocs.load();
+    }
+    g_count_allocs = true;
+    EXPECT_TRUE(rt.Dispatch(std::move(inputs[i])));
+    g_count_allocs = false;
+  }
+  const std::uint64_t measured_allocs = g_allocs.load() - warm_allocs;
+  rt.Shutdown();
+  EXPECT_EQ(rt.Stats().totals.packets, inputs.size() * 32);
+  EXPECT_EQ(measured_allocs, 0u);
 }
 
 TEST(Rss, ZeroWorkersRejected) {
-  EXPECT_THROW(RssDispatcher rss(0), util::PanicError);
+  EXPECT_THROW(RssDispatcher rss(0, 4), util::PanicError);
 }
 
-TEST(Rss, OutOfRangeQueuePanics) {
-  RssDispatcher rss(2);
-  EXPECT_THROW((void)rss.queue(5), util::PanicError);
+TEST(Rss, ZeroQueueDepthRejected) {
+  EXPECT_THROW(RssDispatcher rss(2, 0), util::PanicError)
+      << "a ring needs a bound";
+}
+
+TEST(Rss, OutOfRangeWorkerPanics) {
+  RssDispatcher rss(2, 4);
+  EXPECT_THROW((void)rss.QueueDepth(5), util::PanicError);
+  EXPECT_THROW((void)rss.Await(2), util::PanicError);
 }
 
 }  // namespace

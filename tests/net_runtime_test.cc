@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -467,6 +468,63 @@ TEST(Runtime, PacedRxHoldsQueuesAtHighWaterAndDeliversQuota) {
       << "rx pushed a queue past the high-water mark";
   EXPECT_GE(stats.rx_pauses, 1u)
       << "with a slow stage the rx thread must have paused at least once";
+}
+
+// Wake counters: a worker with nothing to do parks on its empty ring
+// (counted per worker), and a producer that outruns a slow stage parks on a
+// full ring. Both show in Stats, the Summary line and /metrics.
+TEST(Runtime, IdleWorkersParkAndFullRingsCountDispatchWaits) {
+  constexpr std::size_t kWorkers = 2;
+  constexpr int kBatches = 30;
+  constexpr std::size_t kBatchSize = 16;
+  RuntimeConfig cfg;
+  cfg.workers = kWorkers;
+  cfg.queue_depth = 2;
+  std::vector<StageSpec> spec;
+  spec.push_back({"spin", [](std::size_t) {
+                    class Spin : public Operator {
+                     public:
+                      PacketBatch Process(PacketBatch batch) override {
+                        const auto until = std::chrono::steady_clock::now() +
+                                           std::chrono::microseconds(300);
+                        while (std::chrono::steady_clock::now() < until) {
+                        }
+                        return batch;
+                      }
+                      std::string_view name() const override { return "spin"; }
+                    };
+                    return std::make_unique<Spin>();
+                  }});
+  Runtime rt(cfg, spec);
+  rt.Start();
+  obs::Counter* parks = rt.registry().GetCounter("runtime.worker_parks_total");
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((parks->ShardValue(0) == 0 || parks->ShardValue(1) == 0) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  FlowSampler sampler(64, 0.0, 31);
+  FlowFeeder feeder(&sampler);
+  for (int i = 0; i < kBatches; ++i) {
+    ASSERT_TRUE(rt.Dispatch(feeder.Next(kBatchSize)));
+  }
+  rt.Shutdown();
+
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_EQ(stats.totals.packets, kBatches * kBatchSize);
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    EXPECT_GE(stats.workers[w].parks, 1u) << "idle worker " << w << " never parked";
+  }
+  EXPECT_EQ(stats.worker_parks, stats.totals.parks);
+  EXPECT_GE(stats.dispatch_waits, 1u)
+      << "a producer against 300 us batches and 2-slot rings must park";
+  const std::string summary = stats.Summary();
+  EXPECT_NE(summary.find("worker_parks="), std::string::npos);
+  EXPECT_NE(summary.find("dispatch_waits="), std::string::npos);
+  const std::string prom = rt.ScrapePrometheus();
+  EXPECT_NE(prom.find("linsys_runtime_worker_parks_total"), std::string::npos);
+  EXPECT_NE(prom.find("linsys_runtime_dispatch_waits_total"), std::string::npos);
 }
 
 // An injected channel.send fault surfaces as a failed Dispatch on the

@@ -458,6 +458,25 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
   }
   std::uint64_t total_batches = 50;
 
+  // Waits until the workers have accounted for every batch dispatched so far.
+  auto wait_delivered = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const net::RuntimeStats s = rt.Stats();
+      if (s.totals.packets + s.totals.drops + s.steer_dropped_items >=
+          total_batches * 16u) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  // The warm-up is delivered before the first window opens: a scrape reads
+  // the delivery histogram and its components one after another, so a
+  // window opened while deliveries still land starts them from different
+  // baselines.
+  wait_delivered();
+
   // One measurement window: paced dispatch with a forced CheckpointLive +
   // FailoverWorker inside it, a /profile scrape mid-storm (first round
   // only), then a delta scrape that closes the window. The structural
@@ -513,16 +532,7 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
     // Let the workers account for every batch dispatched so far before
     // closing the delta window.
     total_batches += static_cast<std::uint64_t>(paced_batches.load());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (std::chrono::steady_clock::now() < deadline) {
-      const net::RuntimeStats s = rt.Stats();
-      if (s.totals.packets + s.totals.drops + s.steer_dropped_items >=
-          total_batches * 16u) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    wait_delivered();
 
     const std::string delta = Get(sock, "/metrics/delta");
     ASSERT_EQ(StatusOf(delta), 200);

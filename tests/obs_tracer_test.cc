@@ -3,6 +3,7 @@
 // export. Tests use Tracer::Global() (the macro target), resetting it
 // around each test; tests in this binary therefore run serially, which is
 // gtest's default.
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -225,6 +226,34 @@ TEST_F(TracerTest, AsyncSpanPairsBeginEndAndNoopsOnZeroId) {
     tracer.Arm(1 << 8);
   }
   EXPECT_EQ(tracer.buffered_events(), 0u);  // span stayed silent end to end
+}
+
+// Two live drains at once — an ops /trace scrape and an in-process export —
+// must not overlap: a drain that re-arms while the other is still reading
+// the rings lets writers touch a ring under that reader (a data race the
+// thread sanitizer reports on the ring cursor).
+TEST_F(TracerTest, ConcurrentDrainsDoNotOverlap) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  tracer.Arm(1 << 10);
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      tracer.Instant("live");
+    }
+  });
+  auto drainer = [&] {
+    for (int i = 0; i < 200; ++i) {
+      const std::string json = tracer.DrainChromeJson();
+      EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
+    }
+  };
+  std::thread a(drainer);
+  std::thread b(drainer);
+  a.join();
+  b.join();
+  stop = true;
+  writer.join();
+  EXPECT_TRUE(obs::Tracer::ArmedFast()) << "the drains must re-arm the tracer";
 }
 
 TEST(TracerCalibration, CyclesPerMicrosecondIsSane) {
