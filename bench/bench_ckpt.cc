@@ -8,8 +8,8 @@
 // Reported: cycles per checkpoint, payload copies, snapshot bytes, and the
 // restore-correctness column (distinct rules after restore).
 // A second phase benchmarks the *runtime* checkpoint path: live epochs over
-// a running net::Runtime under paced-rx traffic, reporting the per-worker
-// quiesce pause p99 and the cost of one forced failover resync.
+// a running net::Runtime while a producer thread dispatches, reporting the
+// per-worker quiesce pause p99 and the cost of one forced failover resync.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -87,11 +87,12 @@ void RunRuntimeCkptPhase(util::BenchReport& report) {
   const std::uint64_t kBatches = util::BenchQuickMode() ? 400 : 4000;
   const std::uint64_t kEpochs = util::BenchQuickMode() ? 5 : 25;
 
+  constexpr std::size_t kBurst = 16;
+
   net::RuntimeConfig cfg;
   cfg.workers = 4;
+  cfg.queue_depth = 48;  // ring backpressure bounds each worker's backlog
   cfg.ckpt.enabled = true;
-  cfg.paced_rx.enabled = true;
-  cfg.paced_rx.burst = 16;
   std::vector<net::StageSpec> spec;
   spec.push_back({"nat", [](std::size_t) {
                     return std::make_unique<net::NatRewrite>(0x0a000001);
@@ -101,7 +102,14 @@ void RunRuntimeCkptPhase(util::BenchReport& report) {
 
   net::FlowSampler sampler(256, 0.0, 97);
   net::FlowFeeder feeder(&sampler);
-  rt.StartPacedRx(&feeder, kBatches);
+  std::uint64_t dispatched = 0;  // read only after the join
+  std::thread producer([&] {
+    for (std::uint64_t i = 0; i < kBatches; ++i) {
+      if (rt.Dispatch(feeder.Next(kBurst))) {
+        dispatched += kBurst;
+      }
+    }
+  });
 
   std::uint64_t epochs = 0;
   for (std::uint64_t i = 0; i < kEpochs * 4 && epochs < kEpochs; ++i) {
@@ -114,7 +122,7 @@ void RunRuntimeCkptPhase(util::BenchReport& report) {
   for (int i = 0; i < 200 && !failed_over; ++i) {
     failed_over = rt.FailoverWorker(1);
   }
-  rt.WaitRxIdle();
+  producer.join();
   rt.Shutdown();
 
   const net::RuntimeStats stats = rt.Stats();
@@ -132,7 +140,7 @@ void RunRuntimeCkptPhase(util::BenchReport& report) {
 
   std::printf(
       "\n=== runtime live checkpoint: %llu epochs over %zu workers under "
-      "paced rx ===\n",
+      "traffic ===\n",
       static_cast<unsigned long long>(stats.ckpt_epochs), cfg.workers);
   std::printf(
       "  pause/worker: p50=%.0f p99=%.0f cycles (n=%llu)  "
@@ -143,12 +151,12 @@ void RunRuntimeCkptPhase(util::BenchReport& report) {
   std::printf(
       "  exactly-once: dispatched=%llu delivered=%llu drops=%llu "
       "(conserved=%s)\n",
-      static_cast<unsigned long long>(stats.rx_batches * cfg.paced_rx.burst),
+      static_cast<unsigned long long>(dispatched),
       static_cast<unsigned long long>(stats.totals.packets),
       static_cast<unsigned long long>(stats.totals.drops +
                                       stats.steer_dropped_items),
       stats.totals.packets + stats.totals.drops + stats.steer_dropped_items ==
-              stats.rx_batches * cfg.paced_rx.burst
+              dispatched
           ? "yes"
           : "NO");
 

@@ -150,19 +150,15 @@ void SweepPipeline(const char* label, const char* label_key,
   }
 }
 
-// Zipf-skewed load through the paced rx thread (the traced run below): the
-// rx thread, not the bench driver, dispatches, so flow tracks span it.
-RunResult RunZipfPaced(std::size_t workers, std::uint64_t bursts,
-                       std::vector<net::StageSpec> spec) {
+// Zipf-skewed load for the traced run below: the main thread dispatches,
+// so flow tracks span it and the workers.
+RunResult RunZipf(std::size_t workers, std::uint64_t bursts,
+                  std::vector<net::StageSpec> spec) {
   net::RuntimeConfig cfg;
   cfg.workers = workers;
-  cfg.queue_depth = 64;
+  cfg.queue_depth = 48;  // ring backpressure bounds each worker's backlog
   cfg.pool_capacity = 8192;
   cfg.isolated = true;
-  cfg.paced_rx.enabled = true;
-  cfg.paced_rx.burst = kBatchSize;
-  cfg.paced_rx.high_water_frac = 0.75;
-  cfg.paced_rx.pause_us = 20;
   net::Runtime rt(cfg, std::move(spec));
 
   net::FlowSampler sampler(64, 1.0, 42);
@@ -170,8 +166,9 @@ RunResult RunZipfPaced(std::size_t workers, std::uint64_t bursts,
 
   rt.Start();
   const std::uint64_t begin = util::CycleStart();
-  rt.StartPacedRx(&feeder, bursts);
-  rt.WaitRxIdle();
+  for (std::uint64_t i = 0; i < bursts; ++i) {
+    rt.Dispatch(feeder.Next(kBatchSize));
+  }
   rt.Shutdown();
   const std::uint64_t end = util::CycleEnd();
 
@@ -265,11 +262,10 @@ int main(int argc, char** argv) {
                 interp_best / fused_best, kFuseReps);
   }
 
-  // Optional traced run (argv[1] = output path): Zipf traffic through the
-  // paced rx thread plus a flaky replica on the hot home, with the tracer
-  // armed. The exported trace must satisfy `trace_lint --flow-check` — at
-  // least one flow's async track spanning the rx thread, a worker, and a
-  // recovery.
+  // Optional traced run (argv[1] = output path): Zipf traffic plus a flaky
+  // replica on the hot home, with the tracer armed. The exported trace must
+  // satisfy `trace_lint --flow-check` — at least one flow's async track
+  // spanning the main thread, a worker, and a recovery.
   if (argc > 1) {
     obs::Tracer& tracer = obs::Tracer::Global();
     tracer.Arm(/*ring_capacity=*/1 << 16);
@@ -279,7 +275,7 @@ int main(int argc, char** argv) {
                       return std::make_unique<net::NullFilter>(
                           worker == 0 ? 31 : 0);
                     }});
-    const RunResult r = RunZipfPaced(4, 500, std::move(spec));
+    const RunResult r = RunZipf(4, 500, std::move(spec));
     if (tracer.WriteChromeJson(argv[1])) {
       std::printf("\ntrace: %s (faults=%" PRIu64 ")\n", argv[1],
                   r.stats.totals.faults);

@@ -101,7 +101,10 @@ Handle LoadShared(Reader& r) {
       auto it = r.rc_table().find(id);
       LINSYS_ASSERT(it != r.rc_table().end(),
                     "snapshot back-reference to unknown node");
-      return std::any_cast<Handle>(it->second);
+      const Handle* handle = std::any_cast<Handle>(&it->second);
+      LINSYS_ASSERT(handle != nullptr,
+                    "snapshot back-reference to a node of another type");
+      return *handle;
     }
   }
   util::Panic(util::PanicKind::kAssertFailed, "corrupt snapshot: bad Rc tag");

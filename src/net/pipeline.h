@@ -290,10 +290,9 @@ class IsolatedPipeline {
           // supervisor pass (a probe storm).
           culprit.health.probing = false;
           culprit.health.requarantines++;
-          culprit.health.cooldown = std::min<std::uint64_t>(
-              std::max<std::uint64_t>(culprit.health.cooldown * 2,
-                                      probation_cooldown_),
-              probation_cooldown_max_);
+          culprit.health.cooldown = std::clamp<std::uint64_t>(
+              culprit.health.cooldown * 2, probation_cooldown_,
+              std::max(probation_cooldown_, kProbationCooldownMax));
           Quarantine(culprit);
           if (probe_observer_) {
             probe_observer_(false);
@@ -406,15 +405,16 @@ class IsolatedPipeline {
     members_[i]->health.policy = p;
   }
 
+  // Cap on a doubled probation cool-down (never below the initial one).
+  static constexpr std::uint64_t kProbationCooldownMax = 1 << 20;
+
   // Arms quarantine probation: after `cooldown_batches` degraded batches, a
   // quarantined stage gets one probe batch through a freshly built domain;
   // failure re-quarantines with the cool-down doubled (capped at
-  // `cooldown_max`). 0 disables probation (quarantine stays terminal).
-  void SetProbation(std::uint64_t cooldown_batches,
-                    std::uint64_t cooldown_max = 1 << 20) {
+  // kProbationCooldownMax). 0 disables probation (quarantine stays
+  // terminal).
+  void SetProbation(std::uint64_t cooldown_batches) {
     probation_cooldown_ = cooldown_batches;
-    probation_cooldown_max_ =
-        std::max<std::uint64_t>(cooldown_batches, cooldown_max);
     // Armed mid-quarantine: a stage quarantined while probation was disabled
     // carries a zero cool-down base. Left at zero it is probe-eligible on
     // the very next supervisor pass — and a failed probe doubling from zero
@@ -722,7 +722,6 @@ class IsolatedPipeline {
   std::vector<std::unique_ptr<Member>> members_;  // flat, add order
   std::vector<std::unique_ptr<Group>> groups_;    // pipeline order
   std::uint64_t probation_cooldown_ = 0;  // 0 = probation disabled
-  std::uint64_t probation_cooldown_max_ = 1 << 20;
   std::uint64_t restore_mismatches_ = 0;
   std::function<void(bool)> probe_observer_;
 };

@@ -12,6 +12,19 @@
 #include "src/util/panic.h"
 
 namespace net {
+namespace {
+
+// Each failed recovery pass multiplies the supervisor's backoff by this
+// (capped at SupervisionConfig::backoff_max_us).
+constexpr std::uint64_t kRecoveryBackoffFactor = 2;
+// Backup replicas behind the runtime snapshot (ckpt::ReplicatedState).
+constexpr std::size_t kCkptReplicas = 1;
+// CheckpointLive gives every worker this long to reach a batch boundary and
+// deposit its capture before the epoch is abandoned (counted in
+// runtime.ckpt_epoch_failures_total; no state is installed).
+constexpr std::chrono::milliseconds kCkptQuiesceTimeout{1000};
+
+}  // namespace
 
 std::string RuntimeStats::Summary() const {
   std::string s;
@@ -35,10 +48,6 @@ std::string RuntimeStats::Summary() const {
   if (steer_refused_sub_batches > 0 || steer_dropped_items > 0) {
     s += " steer_refused=" + std::to_string(steer_refused_sub_batches);
     s += " steer_dropped=" + std::to_string(steer_dropped_items);
-  }
-  if (rx_batches > 0) {
-    s += " rx_batches=" + std::to_string(rx_batches);
-    s += " rx_pauses=" + std::to_string(rx_pauses);
   }
   if (ckpt_epochs > 0 || ckpt_epoch_failures > 0 || failovers > 0 ||
       failover_failures > 0) {
@@ -141,8 +150,6 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
       registry_.GetHistogram("runtime.latency_service_cycles", shards);
   telemetry_.latency_fence_cycles =
       registry_.GetHistogram("runtime.latency_fence_cycles", shards);
-  telemetry_.rx_batches = registry_.GetCounter("runtime.rx_batches_total");
-  telemetry_.rx_pauses = registry_.GetCounter("runtime.rx_pauses_total");
   telemetry_.ckpt_epochs = registry_.GetCounter("runtime.ckpt_epochs_total");
   telemetry_.ckpt_epoch_failures =
       registry_.GetCounter("runtime.ckpt_epoch_failures_total");
@@ -186,14 +193,9 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
     stage_policies_.push_back(stage.degrade);
   }
   // Resolve the schedule once against the spec; every worker replica gets
-  // the same fusion-group shape. StageSpec::isolate marks are hard cuts.
-  std::vector<bool> isolate_marks;
-  isolate_marks.reserve(spec.size());
-  for (const StageSpec& stage : spec) {
-    isolate_marks.push_back(stage.isolate);
-  }
+  // the same fusion-group shape.
   const std::vector<std::vector<std::size_t>> partition =
-      ResolveSchedule(config_.schedule, spec.size(), isolate_marks);
+      ResolveSchedule(config_.schedule, spec.size());
   for (std::size_t w = 0; w < config_.workers; ++w) {
     workers_.push_back(std::make_unique<Worker>(w, config_));
     Worker& worker = *workers_.back();
@@ -212,8 +214,7 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
       worker.isolated.ApplySchedule(partition);
     }
     if (config_.isolated && config_.supervision.probation_cooldown_batches > 0) {
-      worker.isolated.SetProbation(config_.supervision.probation_cooldown_batches,
-                                   config_.supervision.probation_cooldown_max);
+      worker.isolated.SetProbation(config_.supervision.probation_cooldown_batches);
       // Probe outcomes land in per-worker counter shards; the per-stage
       // split comes from StageHealth in Stats().
       worker.isolated.SetProbeObserver([this, w](bool ok) {
@@ -269,7 +270,6 @@ void Runtime::Shutdown() {
   }
   shut_down_ = true;
   accepting_.store(false, std::memory_order_release);
-  rx_stop_.store(true, std::memory_order_relaxed);
   // The ops server goes first: it reads registry_ and per-worker state, so
   // it must be joined before anything it scrapes is torn down. A scrape in
   // flight finishes (Stop joins the serving thread); later connects are
@@ -284,17 +284,13 @@ void Runtime::Shutdown() {
   // Closing the rings lets workers drain whatever is queued, then exit
   // (Await returns false only after close-and-drained). The supervisor keeps
   // running until after the join so in-flight faults are still recovered
-  // during the drain. The rx thread (if any) sees rx_stop_ at its next
-  // pause/dispatch check; a publish it is parked in on a full ring is woken
-  // by the close (and refused, which the steer counters record).
+  // during the drain. A producer parked on a full ring is woken by the
+  // close and refused (the steer counters record it).
   rss_.Shutdown();
   for (auto& w : workers_) {
     if (w->thread.joinable()) {
       w->thread.join();
     }
-  }
-  if (rx_thread_.joinable()) {
-    rx_thread_.join();
   }
   {
     std::lock_guard<std::mutex> lock(sup_mu_);
@@ -406,80 +402,6 @@ void Runtime::WorkerMain(Worker& w) {
   }
   w.busy.store(false, std::memory_order_release);
   telemetry_.queue_depth->Set(w.index, 0);
-  obs::Profiler::Global().UnregisterThisThread();
-}
-
-std::size_t Runtime::MaxQueueDepth() {
-  std::size_t max_depth = 0;
-  for (std::size_t i = 0; i < rss_.worker_count(); ++i) {
-    max_depth = std::max(max_depth, rss_.QueueDepth(i));
-  }
-  return max_depth;
-}
-
-void Runtime::StartPacedRx(FlowFeeder* feeder, std::uint64_t batches) {
-  LINSYS_ASSERT(config_.paced_rx.enabled,
-                "StartPacedRx needs RuntimeConfig::paced_rx.enabled");
-  std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  LINSYS_ASSERT(started_ && !shut_down_,
-                "StartPacedRx needs a started, un-shut-down runtime");
-  {
-    std::lock_guard<std::mutex> lock(rx_mu_);
-    LINSYS_ASSERT(!rx_active_, "one paced rx thread at a time");
-    rx_active_ = true;
-  }
-  rx_stop_.store(false, std::memory_order_relaxed);
-  if (rx_thread_.joinable()) {
-    rx_thread_.join();  // reap the previous run's exited thread
-  }
-  rx_thread_ =
-      std::thread([this, feeder, batches] { RxMain(feeder, batches); });
-}
-
-void Runtime::WaitRxIdle() {
-  std::unique_lock<std::mutex> lock(rx_mu_);
-  rx_cv_.wait(lock, [this] { return !rx_active_; });
-}
-
-void Runtime::RxMain(FlowFeeder* feeder, std::uint64_t batches) {
-  if (obs::Tracer::ArmedFast()) {
-    obs::Tracer::Global().SetThreadName("rx");
-  }
-  obs::Profiler::Global().RegisterThisThread("rx");
-  util::FaultInjector::SetThreadTag("net.rx");
-  const PacedRxConfig& rx = config_.paced_rx;
-  // High-water mark in sub-batches. Dispatch adds at most one sub-batch per
-  // ring per burst, so rings never exceed mark+1 while rx is the sole
-  // producer — pacing replaces parking on a full ring.
-  const std::size_t mark = std::max<std::size_t>(
-      1, static_cast<std::size_t>(rx.high_water_frac *
-                                  static_cast<double>(config_.queue_depth)));
-  const auto pause = std::chrono::microseconds(rx.pause_us == 0 ? 1 : rx.pause_us);
-  for (std::uint64_t i = 0; i < batches; ++i) {
-    while (!rx_stop_.load(std::memory_order_relaxed) &&
-           MaxQueueDepth() >= mark) {
-      telemetry_.rx_pauses->Inc();
-      std::this_thread::sleep_for(pause);
-    }
-    if (rx_stop_.load(std::memory_order_relaxed)) {
-      break;
-    }
-    {
-      // Profile attribution: rx's burst build + steer is execute work with
-      // a stable pseudo-stage name; its pacing sleeps stay idle.
-      obs::ScopedProfilerPhase rx_phase(obs::ProfilerPhase::kExecute);
-      obs::ScopedProfilerStage rx_stage("rx.dispatch");
-      if (!Dispatch(feeder->Next(rx.burst))) {
-        break;  // runtime stopped accepting (shutdown)
-      }
-    }
-    telemetry_.rx_batches->Inc();
-  }
-  {
-    std::lock_guard<std::mutex> lock(rx_mu_);
-    rx_active_ = false;
-  }
-  rx_cv_.notify_all();
   obs::Profiler::Global().UnregisterThisThread();
 }
 
@@ -677,7 +599,7 @@ void Runtime::SupervisorMain() {
     lock.unlock();
 
     // Recovery sweep, gated by the backoff clock. While a recovery function
-    // keeps panicking, passes run at backoff_initial * factor^k (capped);
+    // keeps panicking, passes run at backoff_initial * 2^k (capped);
     // the moment a pass leaves no stage Failed the backoff resets, so a
     // healthy fault hits recovery at full speed. Crash-loops whose recovery
     // *succeeds* but immediately re-faults are bounded separately, by the
@@ -686,9 +608,8 @@ void Runtime::SupervisorMain() {
       const bool still_failed = RecoveryPass();
       if (still_failed) {
         next_retry = Clock::now() + std::chrono::microseconds(backoff_us);
-        backoff_us = static_cast<std::uint32_t>(std::min<double>(
-            static_cast<double>(backoff_us) * sup.backoff_factor,
-            static_cast<double>(sup.backoff_max_us)));
+        backoff_us = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+            backoff_us * kRecoveryBackoffFactor, sup.backoff_max_us));
         // recover_requested stays true: retry when the backoff expires.
       } else {
         recover_requested = false;
@@ -781,9 +702,7 @@ bool Runtime::CheckpointLive() {
   const std::uint64_t t0 = util::CycleStart();
   const std::uint64_t gen =
       ckpt_gen_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(config_.ckpt.quiesce_timeout_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kCkptQuiesceTimeout;
   std::vector<bool> seen(workers_.size(), false);
   std::vector<WorkerCkptImage> images;
   bool complete = false;
@@ -843,7 +762,7 @@ bool Runtime::CheckpointLive() {
   try {
     if (!ckpt_state_) {
       ckpt_state_ = std::make_unique<ckpt::ReplicatedState<RuntimeCkptImage>>(
-          std::move(image), config_.ckpt.replicas);
+          std::move(image), kCkptReplicas);
     } else {
       ckpt_state_->Apply(
           [&image](RuntimeCkptImage& s) { s = std::move(image); });
@@ -935,8 +854,6 @@ RuntimeStats Runtime::Stats() const {
   s.steer_dropped_items = rss_.dropped_items();
   s.worker_parks = telemetry_.worker_parks->Value();
   s.dispatch_waits = telemetry_.dispatch_waits->Value();
-  s.rx_batches = telemetry_.rx_batches->Value();
-  s.rx_pauses = telemetry_.rx_pauses->Value();
   s.ckpt_epochs = telemetry_.ckpt_epochs->Value();
   s.ckpt_epoch_failures = telemetry_.ckpt_epoch_failures->Value();
   s.failovers = telemetry_.failovers->Value();

@@ -115,11 +115,6 @@ struct StageSpec {
   std::string name;
   std::function<std::unique_ptr<Operator>(std::size_t worker)> make;
   DegradePolicy degrade = DegradePolicy::kDrop;
-  // Untrusted mark: this stage must keep its own protection domain — the
-  // schedule (manual Fuse or Auto) never fuses it with a neighbour.
-  // Typically a stateful/ckpt boundary, or an operator the caller does not
-  // trust to share a fault domain.
-  bool isolate = false;
 };
 
 // Supervisor policy knobs. The defaults favour fast recovery with a bounded
@@ -129,9 +124,9 @@ struct SupervisionConfig {
   // successful batch before it is quarantined. 0 = never quarantine.
   std::size_t max_recovery_attempts = 8;
   // Exponential backoff between recovery passes while a recovery keeps
-  // failing (its fn panicking): initial, multiplier, cap.
+  // failing (its fn panicking): initial wait and cap; each failed pass
+  // doubles the wait.
   std::uint32_t backoff_initial_us = 50;
-  double backoff_factor = 2.0;
   std::uint32_t backoff_max_us = 2000;
   // Supervisor wake cadence; also the watchdog resolution — a worker busy on
   // one batch across a full period without a heartbeat is flagged stuck.
@@ -139,34 +134,15 @@ struct SupervisionConfig {
   // Quarantine probation: after this many degraded batches through a
   // quarantined stage, the supervisor grants one probe batch via a freshly
   // built domain — success un-quarantines, failure re-quarantines with the
-  // cool-down doubled (capped at probation_cooldown_max). 0 = quarantine
-  // stays terminal (the pre-probation behaviour).
+  // cool-down doubled (capped at IsolatedPipeline::kProbationCooldownMax).
+  // 0 = quarantine stays terminal (the pre-probation behaviour).
   std::uint64_t probation_cooldown_batches = 0;
-  std::uint64_t probation_cooldown_max = 1 << 20;
-};
-
-// Paced rx thread (RuntimeConfig::paced_rx): a dedicated producer that
-// pulls from a FlowFeeder and paces Dispatch against per-ring high-water
-// marks instead of blocking on a full ring.
-struct PacedRxConfig {
-  bool enabled = false;
-  std::size_t burst = 32;        // flow descriptors per Dispatch
-  // Pause while any worker ring holds at least this fraction of queue_depth
-  // (in sub-batches; at least 1).
-  double high_water_frac = 0.75;
-  std::uint32_t pause_us = 20;   // sleep quantum while above the mark
 };
 
 // Live checkpointing & failover (Runtime::CheckpointLive/FailoverWorker).
 // Requires `isolated` pipelines.
 struct CkptConfig {
   bool enabled = false;
-  // Backup replicas behind the runtime snapshot (ckpt::ReplicatedState).
-  std::size_t replicas = 1;
-  // CheckpointLive gives every worker this long to reach a batch boundary
-  // and deposit its capture before the epoch is abandoned (counted in
-  // runtime.ckpt_epoch_failures_total; no state is installed).
-  std::uint32_t quiesce_timeout_ms = 1000;
 };
 
 struct RuntimeConfig {
@@ -178,12 +154,11 @@ struct RuntimeConfig {
   bool isolated = true;               // IsolatedPipeline vs direct Pipeline
   // How the stage chain maps onto protection domains (src/net/schedule.h).
   // Default: interpreted, one domain per stage. Resolved once against the
-  // spec (honouring StageSpec::isolate marks) and applied to every worker's
-  // replica before traffic. Ignored for direct (non-isolated) pipelines,
-  // which are always fully fused by construction.
+  // spec's length and applied to every worker's replica before traffic.
+  // Ignored for direct (non-isolated) pipelines, which are always fully
+  // fused by construction.
   PipelineSchedule schedule;
   SupervisionConfig supervision;
-  PacedRxConfig paced_rx;
   CkptConfig ckpt;
   // Live ops endpoint (obs::OpsServer): started with the runtime when
   // enabled, serving /metrics, /metrics/delta, /trace, /healthz from this
@@ -256,9 +231,6 @@ struct RuntimeStats {
   // WorkerTelemetry::parks), and of producers on full rings.
   std::uint64_t worker_parks = 0;
   std::uint64_t dispatch_waits = 0;
-  // Paced rx.
-  std::uint64_t rx_batches = 0;        // bursts dispatched by the rx thread
-  std::uint64_t rx_pauses = 0;         // high-water pauses the rx thread took
   // Live checkpointing & failover.
   std::uint64_t ckpt_epochs = 0;          // snapshots installed
   std::uint64_t ckpt_epoch_failures = 0;  // epochs abandoned (timeout/fault)
@@ -353,16 +325,6 @@ class Runtime {
   std::size_t WorkerFor(const FiveTuple& tuple) const {
     return rss_.WorkerForTuple(tuple);
   }
-
-  // Starts the paced rx thread: it pulls `batches` bursts of
-  // config.paced_rx.burst descriptors from `feeder` and dispatches each,
-  // pausing while any worker ring sits at/above the high-water mark.
-  // Requires paced_rx.enabled, a started runtime, and at most one rx thread
-  // at a time. The thread also stops early at Shutdown.
-  void StartPacedRx(FlowFeeder* feeder, std::uint64_t batches);
-  // Blocks until the rx thread (if any) has dispatched its quota (or
-  // stopped at shutdown) and exited.
-  void WaitRxIdle();
 
   // Closes the steering rings, lets workers drain them, joins all
   // threads. Idempotent and safe to call concurrently (including with
@@ -461,8 +423,6 @@ class Runtime {
     obs::Counter* stalls = nullptr;
     obs::Counter* rejected_dispatches = nullptr;
     obs::Counter* dispatch_faults = nullptr;
-    obs::Counter* rx_batches = nullptr;
-    obs::Counter* rx_pauses = nullptr;
     obs::Counter* ckpt_epochs = nullptr;
     obs::Counter* ckpt_epoch_failures = nullptr;
     obs::Counter* failovers = nullptr;
@@ -491,8 +451,6 @@ class Runtime {
   // (queue/service/fence) for a delivered batch. No-op when the batch
   // carries no dispatch stamp.
   void RecordDelivery(Worker& w, const FlowBatch& flows);
-  void RxMain(FlowFeeder* feeder, std::uint64_t batches);
-  std::size_t MaxQueueDepth();
   void SupervisorMain();
   void NotifyFault();
   // One supervisor recovery sweep over all workers; returns true while any
@@ -537,14 +495,6 @@ class Runtime {
   std::condition_variable sup_cv_;
   bool sup_stop_ = false;
   bool fault_pending_ = false;
-
-  // Paced rx thread state. rx_active_ gates StartPacedRx reentry; the
-  // atomic stop flag lets Shutdown cut a pause short.
-  std::mutex rx_mu_;
-  std::condition_variable rx_cv_;
-  bool rx_active_ = false;
-  std::atomic<bool> rx_stop_{false};
-  std::thread rx_thread_;
 
   // Live-checkpoint epoch state. ckpt_driver_mu_ serializes CheckpointLive
   // with FailoverWorker (one driver at a time). The epoch protocol itself:

@@ -10,15 +10,6 @@
 //   * Isolate(s)   — stage s keeps its own domain no matter what. Pins win
 //                    over fuses regardless of directive order: an Isolate
 //                    splits any fusion run that crosses it.
-//   * Auto()       — greedy auto-scheduler: fuse maximal runs of stages,
-//                    cutting at every Isolate directive and at every stage
-//                    the spec marks untrusted (StageSpec::isolate). With
-//                    per-stage cost hints (measured service EWMAs or the
-//                    sampling profiler's per-stage tick counts) and a
-//                    max_group_cost, a run is also cut where fusing one more
-//                    stage would push the group past the cost budget — so a
-//                    fused group never becomes a fault domain worth more
-//                    than the budget says it is.
 //
 // A schedule never touches operator code; it resolves to a partition of the
 // stage indices into ordered, contiguous runs, which IsolatedPipeline::
@@ -28,9 +19,6 @@
 #define LINSYS_SRC_NET_SCHEDULE_H_
 
 #include <cstddef>
-#include <cstdlib>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "src/util/panic.h"
@@ -48,16 +36,6 @@ struct PipelineSchedule {
   // One domain per stage — today's behaviour, and the default.
   static PipelineSchedule Interpreted() { return PipelineSchedule{}; }
 
-  // Greedy fuse-everything-allowed. `max_group_cost` (with cost hints at
-  // resolve time) bounds the summed per-stage cost of one group; 0 = no
-  // cost budget, cut only at Isolate pins and untrusted marks.
-  static PipelineSchedule Auto(double max_group_cost = 0.0) {
-    PipelineSchedule s;
-    s.auto_fuse = true;
-    s.max_group_cost = max_group_cost;
-    return s;
-  }
-
   PipelineSchedule& Fuse(std::size_t a, std::size_t b) {
     directives.push_back({Directive::Kind::kFuse, a, b});
     return *this;
@@ -68,53 +46,24 @@ struct PipelineSchedule {
     return *this;
   }
 
-  bool fused() const { return auto_fuse || !directives.empty(); }
+  bool fused() const { return !directives.empty(); }
 
-  bool auto_fuse = false;
-  double max_group_cost = 0.0;
   std::vector<Directive> directives;
 };
 
 // Resolves a schedule against a pipeline of `n` stages into a partition of
 // [0, n) — ordered, contiguous runs of stage indices, one run per fusion
-// group. `isolate_marks[i]` pins stage i into its own group (StageSpec::
-// isolate — a stateful/ckpt boundary the caller does not trust its
-// neighbours with). `cost_hints[i]` is stage i's relative service cost
-// (cycles, EWMA ticks — any consistent unit); under Auto with a
-// max_group_cost it bounds how much work one fused fault domain may hold.
+// group.
 inline std::vector<std::vector<std::size_t>> ResolveSchedule(
-    const PipelineSchedule& schedule, std::size_t n,
-    const std::vector<bool>& isolate_marks = {},
-    const std::vector<double>& cost_hints = {}) {
-  LINSYS_ASSERT(isolate_marks.empty() || isolate_marks.size() == n,
-                "isolate mark per stage or none");
-  LINSYS_ASSERT(cost_hints.empty() || cost_hints.size() == n,
-                "cost hint per stage or none");
+    const PipelineSchedule& schedule, std::size_t n) {
   if (n == 0) {
     return {};
   }
   // cut[i] == true: a group boundary sits between stage i-1 and stage i.
-  // Interpreted = every boundary cut; Auto = none (then re-cut below).
+  // Every boundary starts cut (interpreted); fuses clear boundaries, and
+  // Isolate pins re-cut them afterwards, so a pin always wins over a fuse
+  // that crosses it.
   std::vector<bool> cut(n, true);
-  cut[0] = true;  // always a boundary before stage 0
-  if (schedule.auto_fuse) {
-    for (std::size_t i = 1; i < n; ++i) {
-      cut[i] = false;
-    }
-    if (schedule.max_group_cost > 0 && !cost_hints.empty()) {
-      double acc = cost_hints[0];
-      for (std::size_t i = 1; i < n; ++i) {
-        if (acc + cost_hints[i] > schedule.max_group_cost) {
-          cut[i] = true;  // group would exceed the budget: cut before i
-          acc = cost_hints[i];
-        } else {
-          acc += cost_hints[i];
-        }
-      }
-    }
-  }
-  // Manual fuses clear boundaries; Isolate pins and spec marks re-cut them
-  // afterwards, so a pin always wins over a fuse that crosses it.
   for (const PipelineSchedule::Directive& d : schedule.directives) {
     if (d.kind != PipelineSchedule::Directive::Kind::kFuse) {
       continue;
@@ -134,16 +83,6 @@ inline std::vector<std::vector<std::size_t>> ResolveSchedule(
       cut[d.a + 1] = true;
     }
   }
-  if (!isolate_marks.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (isolate_marks[i]) {
-        cut[i] = true;
-        if (i + 1 < n) {
-          cut[i + 1] = true;
-        }
-      }
-    }
-  }
   std::vector<std::vector<std::size_t>> groups;
   for (std::size_t i = 0; i < n; ++i) {
     if (cut[i]) {
@@ -152,62 +91,6 @@ inline std::vector<std::vector<std::size_t>> ResolveSchedule(
     groups.back().push_back(i);
   }
   return groups;
-}
-
-// Per-stage cost hints from a folded profile drain (the PR 9 sampling
-// profiler): sums the tick counts of `thread;phase;stage N` lines whose
-// stage frame matches each name. Runtime member names carry an "@wN" shard
-// suffix, so matching is by exact name *or* by "name@" prefix — hints from
-// any worker's replica pool into the one spec-level stage. Stages never
-// sampled get hint 0 (Auto treats them as free to fuse).
-inline std::vector<double> StageCostHintsFromFolded(
-    std::string_view folded, const std::vector<std::string>& stage_names) {
-  std::vector<double> hints(stage_names.size(), 0.0);
-  std::size_t pos = 0;
-  while (pos < folded.size()) {
-    std::size_t eol = folded.find('\n', pos);
-    if (eol == std::string_view::npos) {
-      eol = folded.size();
-    }
-    std::string_view line = folded.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    const std::size_t space = line.rfind(' ');
-    if (space == std::string_view::npos) {
-      continue;
-    }
-    std::string_view stack = line.substr(0, space);
-    const std::string count_str(line.substr(space + 1));
-    char* end = nullptr;
-    const double count = std::strtod(count_str.c_str(), &end);
-    if (end == count_str.c_str() || count <= 0) {
-      continue;
-    }
-    // Stage frame = third ';'-separated component (thread;phase;stage).
-    const std::size_t first = stack.find(';');
-    if (first == std::string_view::npos) {
-      continue;
-    }
-    const std::size_t second = stack.find(';', first + 1);
-    if (second == std::string_view::npos) {
-      continue;
-    }
-    std::string_view stage = stack.substr(second + 1);
-    for (std::size_t i = 0; i < stage_names.size(); ++i) {
-      const std::string& name = stage_names[i];
-      const bool exact = stage == name;
-      const bool sharded = stage.size() > name.size() + 1 &&
-                           stage.compare(0, name.size(), name) == 0 &&
-                           stage[name.size()] == '@';
-      if (exact || sharded) {
-        hints[i] += count;
-        break;
-      }
-    }
-  }
-  return hints;
 }
 
 }  // namespace net

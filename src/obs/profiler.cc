@@ -217,8 +217,8 @@ void Profiler::RegisterThisThread(std::string name) {
   t_state = im.states.back().get();
   internal::g_prof_ctx = &t_state->ctx;
 #if defined(__linux__)
-  // A thread born mid-window (failover respawns a worker; a late rx thread)
-  // joins the open window instead of going dark until the next one.
+  // A thread registered mid-window joins the open window instead of going
+  // dark until the next one.
   if (im.window_open.load(std::memory_order_relaxed)) {
     ArmTimerLocked(t_state, im.period_us);
   }

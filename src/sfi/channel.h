@@ -125,10 +125,9 @@ class Channel {
   }
 
   // Advisory queue depth: a lock-free snapshot maintained by the locked
-  // push/pop paths. Pollers (the imbalance gauge, paced-rx high-water
-  // checks, checkpoint nudges) read this at high frequency; taking the queue
-  // mutex for a momentary depth would make every poll contend with the very
-  // workers it is sizing up.
+  // push/pop paths. A poller may read this at high frequency; taking the
+  // queue mutex for a momentary depth would make every poll contend with the
+  // very consumers it is sizing up.
   std::size_t size() const { return depth_.load(std::memory_order_relaxed); }
 
  private:

@@ -17,8 +17,8 @@
 // threads varies with scheduling.
 //
 // Thread-tag scoping: a thread may declare a tag (net::Runtime tags its
-// workers "net.worker:<i>", the rx thread "net.rx", the supervisor
-// "net.supervisor") and a plan armed under "<tag>/<site>" — e.g.
+// workers "net.worker:<i>" and its supervisor "net.supervisor") and a plan
+// armed under "<tag>/<site>" — e.g.
 // "net.worker:2/channel.recv" — fires only when that thread hits that site,
 // so chaos runs can target one shard. Tagged and untagged plans compose: a
 // hit evaluates the tagged plan first, then the plain site plan.

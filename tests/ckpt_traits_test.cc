@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/lin/arc.h"
@@ -237,6 +238,27 @@ TEST(Snapshot, CorruptLengthsPanicBeforeAllocating) {
                  util::PanicError)
         << probe.what;
   }
+}
+
+// A back-reference must name a node of the handle's own type. The second
+// handle of a pair<Rc<int>, Rc<string>> image, rewritten as a back-reference
+// to the first handle's id, must be refused as a PanicError — not escape as
+// std::bad_any_cast past every PanicError handler.
+TEST(Snapshot, WrongTypeBackReferencePanics) {
+  using Mixed = std::pair<lin::Rc<int>, lin::Rc<std::string>>;
+  Snapshot snap = Checkpoint(
+      Mixed{lin::Rc<int>::Make(7), lin::Rc<std::string>::Make("seven")});
+  // The first handle is tag, id and the int payload.
+  constexpr std::size_t kIdAt = 1;
+  constexpr std::size_t kSecondAt = kIdAt + sizeof(std::uint64_t) + sizeof(int);
+  ASSERT_EQ(snap.bytes[0], static_cast<std::uint8_t>(internal::RcTag::kNew));
+  const std::vector<std::uint8_t> first_id(
+      snap.bytes.begin() + kIdAt,
+      snap.bytes.begin() + kIdAt + sizeof(std::uint64_t));
+  snap.bytes.resize(kSecondAt);
+  snap.bytes.push_back(static_cast<std::uint8_t>(internal::RcTag::kRef));
+  snap.bytes.insert(snap.bytes.end(), first_id.begin(), first_id.end());
+  EXPECT_THROW((void)Restore<Mixed>(snap), util::PanicError);
 }
 
 TEST(Snapshot, TrailingBytesPanics) {

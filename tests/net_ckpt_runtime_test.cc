@@ -1,6 +1,6 @@
 // Live checkpointing & failover of the running sharded runtime
 // (Runtime::CheckpointLive / FailoverWorker): epoch quiesce completes on an
-// idle runtime, a checkpoint + forced failover under paced-rx traffic loses
+// idle runtime, a checkpoint + forced failover under live traffic loses
 // zero packets (the exactly-once invariant), failover restores stage state
 // from the snapshot and replays the victim's queued flows on it,
 // degraded (quarantined) pipelines round-trip, and the injected
@@ -171,19 +171,26 @@ TEST_F(CkptRuntimeTest, EpochCompletesOnIdleRuntime) {
 }
 
 // The acceptance invariant: periodic live checkpoints plus one forced
-// failover while the paced rx thread keeps dispatching, and at the end every
+// failover while a producer thread keeps dispatching, and at the end every
 // dispatched packet is processed or counted dropped — none vanish.
 TEST_F(CkptRuntimeTest, CheckpointAndFailoverUnderTrafficLoseNothing) {
   RuntimeConfig cfg = CkptConfigFor(4);
-  cfg.paced_rx.enabled = true;
-  cfg.paced_rx.burst = 16;
+  cfg.queue_depth = 48;  // ring backpressure bounds each worker's backlog
   Runtime rt(cfg, NatStage());
   rt.Start();
 
   FlowSampler sampler(96, 0.0, 41);
   FlowFeeder feeder(&sampler);
   constexpr std::uint64_t kBatches = 600;
-  rt.StartPacedRx(&feeder, kBatches);
+  constexpr std::size_t kBurst = 16;
+  std::uint64_t dispatched = 0;  // read only after the join
+  std::thread producer([&] {
+    for (std::uint64_t i = 0; i < kBatches; ++i) {
+      if (rt.Dispatch(feeder.Next(kBurst))) {
+        dispatched += kBurst;
+      }
+    }
+  });
 
   // Drive checkpoint epochs against the live traffic; dispatch is never
   // paused, so each epoch only costs the workers their capture pauses.
@@ -193,17 +200,16 @@ TEST_F(CkptRuntimeTest, CheckpointAndFailoverUnderTrafficLoseNothing) {
       ++epochs;
     }
   }
-  ASSERT_GE(epochs, 3u) << "live epochs kept timing out under traffic";
   // Forced failover mid-traffic: worker 1 "loses" its state and is resynced
   // from the replicated snapshot; its queued flows stay queued on it.
   bool failed_over = false;
   for (int i = 0; i < 100 && !failed_over; ++i) {
     failed_over = rt.FailoverWorker(1);
   }
+  producer.join();
+  ASSERT_GE(epochs, 3u) << "live epochs kept timing out under traffic";
   EXPECT_TRUE(failed_over);
-
-  rt.WaitRxIdle();
-  const std::uint64_t dispatched = rt.Stats().rx_batches * cfg.paced_rx.burst;
+  EXPECT_EQ(dispatched, kBatches * kBurst);
   ASSERT_TRUE(DrainTo(rt, dispatched));
   rt.Shutdown();
 

@@ -95,50 +95,6 @@ TEST(ScheduleIR, IsolatePinWinsOverFuse) {
   EXPECT_EQ(groups[2], (std::vector<std::size_t>{3, 4}));
 }
 
-TEST(ScheduleIR, AutoFusesUntilUntrustedMark) {
-  // Stage 2 is marked untrusted (StageSpec::isolate): Auto fuses maximal
-  // runs on both sides but never across it.
-  const std::vector<bool> marks{false, false, true, false, false};
-  const auto groups = ResolveSchedule(PipelineSchedule::Auto(), 5, marks);
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0], (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(groups[1], std::vector<std::size_t>{2});
-  EXPECT_EQ(groups[2], (std::vector<std::size_t>{3, 4}));
-}
-
-TEST(ScheduleIR, AutoCutsWhereGroupCostWouldExceedBudget) {
-  // Measured per-stage costs seed the greedy scheduler: a fused fault
-  // domain may hold at most max_group_cost worth of service time.
-  const std::vector<double> hints{40, 40, 40, 100, 10};
-  const auto groups =
-      ResolveSchedule(PipelineSchedule::Auto(/*max_group_cost=*/90), 5, {},
-                      hints);
-  ASSERT_EQ(groups.size(), 4u);
-  EXPECT_EQ(groups[0], (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(groups[1], std::vector<std::size_t>{2});
-  // Stage 3 alone exceeds the budget: it stands as its own fault domain and
-  // nothing may join it — not even the cheap stage behind it.
-  EXPECT_EQ(groups[2], std::vector<std::size_t>{3});
-  EXPECT_EQ(groups[3], std::vector<std::size_t>{4});
-}
-
-TEST(ScheduleIR, CostHintsFoldPerStageTicksAcrossWorkerShards) {
-  // PR 9 profiler drain: runtime member frames carry the @wN shard suffix;
-  // hints pool every shard's ticks into the one spec-level stage.
-  const std::string folded =
-      "# linsys-profile period_us=250 threads=2 samples=90\n"
-      "worker0;execute;ttl@w0 30\n"
-      "worker1;execute;ttl@w1 20\n"
-      "worker0;execute;nat@w0 25\n"
-      "worker0;execute 10\n"
-      "worker0;idle 5\n";
-  const auto hints = StageCostHintsFromFolded(folded, {"ttl", "nat", "fw"});
-  ASSERT_EQ(hints.size(), 3u);
-  EXPECT_DOUBLE_EQ(hints[0], 50.0);
-  EXPECT_DOUBLE_EQ(hints[1], 25.0);
-  EXPECT_DOUBLE_EQ(hints[2], 0.0) << "never-sampled stages cost nothing";
-}
-
 // --- Fused vs interpreted differential (standalone pipeline) -------------
 
 // Same operator chain, same traffic, two schedules: delivered frames must

@@ -33,7 +33,6 @@ SupervisionConfig FastSupervision(std::size_t max_attempts) {
   SupervisionConfig sup;
   sup.max_recovery_attempts = max_attempts;
   sup.backoff_initial_us = 50;
-  sup.backoff_factor = 2.0;
   sup.backoff_max_us = 200;
   sup.watchdog_period_ms = 2;
   return sup;
