@@ -142,21 +142,25 @@ class Mempool {
   // freelist; any other thread panics. This is the runtime teeth behind the
   // single-owner contract above — Runtime's structure makes violations
   // impossible, but hand-rolled users get a deterministic panic instead of
-  // a corrupted freelist.
+  // a corrupted freelist. The owner pays one relaxed load and a compare: it
+  // bound owner_ itself and nobody rewrites it. Only binding takes a CAS,
+  // which fails for any thread that read owner_ empty but lost the race.
   void CheckOwnerThread() {
 #if LINSYS_CHECKED_OWNERSHIP
     const std::thread::id self = std::this_thread::get_id();
-    std::thread::id expected{};  // "no thread yet"
-    if (owner_.compare_exchange_strong(expected, self,
+    std::thread::id owner = owner_.load(std::memory_order_relaxed);
+    if (owner == self) {
+      return;
+    }
+    if (owner == std::thread::id{} &&
+        owner_.compare_exchange_strong(owner, self,
                                        std::memory_order_relaxed)) {
       return;  // first touch binds ownership
     }
-    if (expected != self) {
-      util::Panic(util::PanicKind::kAssertFailed,
-                  "Mempool touched from a non-owner thread: pools are "
-                  "single-owner (see header contract); give each worker "
-                  "its own pool");
-    }
+    util::Panic(util::PanicKind::kAssertFailed,
+                "Mempool touched from a non-owner thread: pools are "
+                "single-owner (see header contract); give each worker "
+                "its own pool");
 #endif
   }
 

@@ -1,8 +1,9 @@
 // Receive-side scaling (RSS): the NIC feature the DPDK simulator's users
 // expect — hash each flow's 5-tuple and steer it to one of N workers, so one
-// flow always lands on one worker (no cross-core flow state). Routing is
-// hash % workers for the life of the dispatcher, so each flow's state lives
-// on exactly one replica (DESIGN.md §9 "Flow pinning").
+// flow always lands on one worker (no cross-core flow state). Routing is a
+// seeded word-wise hash range-reduced by multiply-shift, fixed for the life
+// of the dispatcher, so each flow's state lives on exactly one replica
+// (DESIGN.md §9 "Flow pinning").
 //
 // The dispatcher steers flow *descriptors* (FlowBatch), not packet buffers:
 // frames are allocated from, and returned to, the owning worker's pool on
@@ -11,12 +12,13 @@
 // is touched.
 //
 // The handoff: each worker has a bounded ring of `queue_depth` reusable
-// FlowBatch slots. Dispatch hashes each descriptor once, writes each
-// worker's share straight into that worker's next free slot, and publishes
-// the slot by advancing the ring's tail. The worker swaps the slot's batch
-// out against its own spare batch and advances the head. Slots keep their
-// item capacity from lap to lap, so in steady state the handoff allocates
-// nothing, and the worker never takes a lock.
+// FlowBatch slots. Dispatch hashes each descriptor once, groups the burst
+// by worker in one stable scatter pass, copies each worker's share as one
+// range into that worker's next free slot, and publishes the slot by
+// advancing the ring's tail. The worker swaps the slot's batch out against
+// its own spare batch and advances the head. Slots keep their item capacity
+// from lap to lap, so in steady state the handoff allocates nothing, and
+// the worker never takes a lock.
 //
 // Linearity: Dispatch consumes its batch, and each slot has exactly one
 // owner at a time — the producer from reserve to publish (under the ring's
@@ -30,7 +32,9 @@
 // Producers: any thread may call Dispatch. A per-ring producer lock
 // serializes the producers (and Close) of one ring; the worker never takes
 // it. The steering counters are relaxed atomics, exact under concurrent
-// dispatch.
+// dispatch. What only producers write (the counters, each ring's lock and
+// cached head) sits on cache lines the workers never read, so a publish
+// does not take away the line a worker's next Take needs.
 //
 // Waiting: each side polls for kPollBeforePark, yielding the CPU between
 // rounds of spinning so that on an oversubscribed core the thread it waits
@@ -64,6 +68,7 @@
 #include "src/obs/metrics.h"
 #include "src/util/fault_injector.h"
 #include "src/util/panic.h"
+#include "src/util/rng.h"
 
 namespace net {
 
@@ -101,6 +106,10 @@ class FlowBatch {
     fence_cycles_ = 0;
   }
   void Reserve(std::size_t n) { work_.reserve(n); }
+  // Appends [first, last) in one range copy.
+  void Append(const FlowWork* first, const FlowWork* last) {
+    work_.insert(work_.end(), first, last);
+  }
 
   // Trace-correlation id assigned by Runtime::Dispatch (0 = unassigned).
   // Dispatch copies it into every per-worker slot, so the whole fan-out
@@ -133,10 +142,15 @@ class FlowBatch {
   std::uint64_t fence_cycles_ = 0;
 };
 
-// How long either side of a ring polls before it parks. It covers the gap
-// between bursts at the open-loop rates the runtime is driven at (a 32-flow
-// burst every 16–64 µs), so a busy worker never pays a futex wake, while
-// an idle one gives its core back within tens of microseconds.
+// How long either side of a ring polls before it parks; an idle worker
+// gives its core back within tens of microseconds. A worker starts polling
+// only once it has finished its sub-batch, so the poll spans the gap to the
+// next burst only when bursts come less than 50 µs plus one sub-batch's
+// service time apart. nfbench's fwd64 open loop (a 32-flow burst every
+// 16 µs) parked its workers 127–192 times in 187500 bursts; mbox_ckpt's
+// (one every 64 µs) parked them before 45–54% of its 93750 sub-batches,
+// each such park costing the next Dispatch a futex wake (6 s runs on a
+// 4-vCPU VM; DESIGN.md §9).
 inline constexpr std::chrono::microseconds kPollBeforePark{50};
 
 class RssDispatcher {
@@ -165,33 +179,47 @@ class RssDispatcher {
   std::size_t Dispatch(FlowBatch batch) {
     dispatch_calls_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t n = batch.size();
-    // Each item's worker, and each worker's share, kept per thread so the
-    // steady state allocates nothing.
+    const std::size_t workers = rings_.size();
+    // Each item's worker, each worker's share, the scatter cursors and the
+    // burst grouped by worker, kept per thread so the steady state
+    // allocates nothing.
     thread_local std::vector<std::uint32_t> home;
     thread_local std::vector<std::uint32_t> share;
+    thread_local std::vector<std::uint32_t> next;
+    thread_local std::vector<FlowWork> grouped;
     home.resize(n);
-    share.assign(rings_.size(), 0);
+    share.assign(workers, 0);
+    next.resize(workers);
+    grouped.resize(n);
     const auto items = batch.begin();
     for (std::size_t i = 0; i < n; ++i) {
       home[i] = static_cast<std::uint32_t>(WorkerForTuple(items[i].tuple));
       ++share[home[i]];
     }
+    // Stable counting sort: each share becomes one contiguous range of
+    // `grouped`, in arrival order, so per-flow order survives the fan-out.
+    std::uint32_t offset = 0;
+    for (std::size_t w = 0; w < workers; ++w) {
+      next[w] = offset;
+      offset += share[w];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      grouped[next[home[i]]++] = items[i];
+    }
     std::size_t sent = 0;
-    for (std::size_t w = 0; w < rings_.size(); ++w) {
+    for (std::size_t w = 0; w < workers; ++w) {
       if (share[w] == 0) {
         continue;
       }
       // Fires before the ring is touched: an injected panic leaves the ring
       // as it was, and the unsent shares die with `batch` in the unwind.
       LINSYS_FAULT_POINT("channel.send");
+      // The scatter left next[w] at the end of share w.
+      const FlowWork* last = grouped.data() + next[w];
       const bool published = rings_[w]->Publish([&](FlowBatch& slot) {
         slot.Clear();
         slot.Reserve(n);  // one growth per slot for a given burst size
-        for (std::size_t i = 0; i < n; ++i) {
-          if (home[i] == w) {
-            slot.Push(items[i]);
-          }
-        }
+        slot.Append(last - share[w], last);
         slot.set_flow_id(batch.flow_id());
         slot.set_dispatch_tsc(batch.dispatch_tsc());
       });
@@ -221,10 +249,21 @@ class RssDispatcher {
   bool Await(std::size_t worker) { return ring(worker).Await(); }
   void Take(std::size_t worker, FlowBatch& spare) { ring(worker).Take(spare); }
 
-  // Which worker a flow maps to: the seeded 5-tuple hash modulo the worker
-  // count, fixed for the dispatcher's lifetime.
+  // Which worker a flow maps to, fixed for the dispatcher's lifetime: the
+  // tuple as two 64-bit words, each mixed in by a seeded finalizer, then the
+  // hash's low 32 bits range-reduced by multiply-shift instead of a divide.
+  // (FiveTuple::Hash, byte-wise, stays the key of flow tables and Maglev.)
   std::size_t WorkerForTuple(const FiveTuple& tuple) const {
-    return static_cast<std::size_t>(tuple.Hash(seed_) % rings_.size());
+    const std::uint64_t addrs =
+        (std::uint64_t{tuple.src_ip} << 32) | tuple.dst_ip;
+    const std::uint64_t ports = (std::uint64_t{tuple.src_port} << 24) |
+                                (std::uint64_t{tuple.dst_port} << 8) |
+                                tuple.proto;
+    const std::uint64_t h = util::Mix64(util::Mix64(seed_ ^ addrs) ^ ports);
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(h)) *
+         rings_.size()) >>
+        32);
   }
 
   // Published, not yet taken slots on `worker`'s ring: an advisory snapshot
@@ -457,12 +496,16 @@ class RssDispatcher {
       }
     }
 
+    // Read-only after construction; Take and Await read slots_ and worker_.
     std::vector<Slot> slots_;
     const std::size_t worker_;
     obs::Counter* const worker_parks_;
     obs::Counter* const dispatch_waits_;
 
-    std::mutex mu_;  // producer lock: guards publishing, head_seen_, closing
+    // Producer-only state on its own line: a publish writes the lock word,
+    // which would otherwise take away the line holding slots_ from the
+    // worker's next Take.
+    alignas(64) std::mutex mu_;  // guards publishing, head_seen_, closing
     std::uint64_t head_seen_ = 0;  // producer's cached head_, under mu_
     alignas(64) std::atomic<std::uint64_t> tail_{0};  // written under mu_
     alignas(64) std::atomic<std::uint64_t> head_{0};  // written by the worker
@@ -477,13 +520,17 @@ class RssDispatcher {
     return *rings_[worker];
   }
 
+  // Read-only after construction; every worker reads rings_ through ring()
+  // on each iteration.
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::atomic<std::uint64_t> dispatch_calls_{0};
+  std::vector<std::atomic<std::uint64_t>> per_worker_steered_;
+  // Written by every Dispatch: kept off the line above (and, through the
+  // class's alignment, off whatever the owner places after the dispatcher).
+  alignas(64) std::atomic<std::uint64_t> dispatch_calls_{0};
   std::atomic<std::uint64_t> sub_batches_steered_{0};
   std::atomic<std::uint64_t> refused_sub_batches_{0};
   std::atomic<std::uint64_t> dropped_items_{0};
-  std::vector<std::atomic<std::uint64_t>> per_worker_steered_;
 };
 
 }  // namespace net

@@ -320,8 +320,8 @@ class Runtime {
     return true;
   }
 
-  // Which worker a flow is pinned to: hash % workers, stable for the
-  // runtime's lifetime.
+  // Which worker a flow is pinned to: RssDispatcher's seeded tuple hash,
+  // range-reduced by multiply-shift, stable for the runtime's lifetime.
   std::size_t WorkerFor(const FiveTuple& tuple) const {
     return rss_.WorkerForTuple(tuple);
   }

@@ -5,6 +5,7 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/util/rng.h"
 
 namespace util {
 namespace {
@@ -13,10 +14,7 @@ namespace {
 // because each draw advances a single word of state (easy to keep per site).
 std::uint64_t SplitMix(std::uint64_t* state) {
   *state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = *state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return Mix64(*state);
 }
 
 double ToUnitDouble(std::uint64_t bits) {

@@ -11,6 +11,14 @@
 
 namespace util {
 
+// splitmix64's finalizer: a bijective 64-bit mixer in which every input bit
+// affects every output bit.
+inline std::uint64_t Mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) { Seed(seed); }
@@ -19,10 +27,7 @@ class Rng {
   void Seed(std::uint64_t seed) {
     for (auto& word : state_) {
       seed += 0x9e3779b97f4a7c15ULL;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      word = z ^ (z >> 31);
+      word = Mix64(seed);
     }
   }
 

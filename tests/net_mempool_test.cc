@@ -84,18 +84,27 @@ TEST(MempoolChecked, CrossThreadUsePanics) {
   Mempool pool(4, 64);
   std::uint32_t slot;
   ASSERT_TRUE(pool.Alloc(&slot));  // binds the pool to this thread
-  std::atomic<bool> panicked{false};
-  std::thread intruder([&pool, &panicked] {
+  std::atomic<bool> alloc_panicked{false};
+  std::atomic<bool> free_panicked{false};
+  std::thread intruder([&pool, slot, &alloc_panicked, &free_panicked] {
     std::uint32_t s;
     try {
       (void)pool.Alloc(&s);
     } catch (const util::PanicError&) {
-      panicked = true;
+      alloc_panicked = true;
+    }
+    try {
+      pool.Free(slot);  // a slot the owner allocated
+    } catch (const util::PanicError&) {
+      free_panicked = true;
     }
   });
   intruder.join();
-  EXPECT_TRUE(panicked.load())
+  EXPECT_TRUE(alloc_panicked.load())
       << "single-owner contract: other threads must be rejected";
+  EXPECT_TRUE(free_panicked.load())
+      << "a non-owner Free must be rejected like a non-owner Alloc";
+  EXPECT_EQ(pool.in_use(), 1u) << "the refused Free left the slot in use";
   pool.Free(slot);  // owner thread continues to work
 }
 #endif  // LINSYS_CHECKED_OWNERSHIP

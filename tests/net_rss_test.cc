@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -100,6 +101,47 @@ TEST(Rss, FlowAffinityIsStable) {
     used.insert(worker);
   }
   EXPECT_GT(used.size(), 3u) << "hash spreads flows";
+}
+
+// Placement spreads distinct flows evenly at any worker count, including
+// ones that are not a power of two (the multiply-shift reduction has no
+// modulus to favour them). Two flow sets: the sampler's (random client
+// addresses, consecutive source ports), and consecutive client addresses
+// behind one port pair, which only a hash that mixes the address word
+// spreads.
+TEST(Rss, PlacementSpreadsFlowsEvenly) {
+  constexpr std::size_t kFlows = 4096;
+  FlowSampler sampler(kFlows, 0.0, 21);
+  std::vector<FiveTuple> sampled;
+  std::vector<FiveTuple> consecutive;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    sampled.push_back(sampler.FlowAt(i));
+    FiveTuple t;
+    t.src_ip = 0x0a000000u + static_cast<std::uint32_t>(i);
+    t.dst_ip = 0xc0a80001u;
+    t.src_port = 40000;
+    t.dst_port = 80;
+    consecutive.push_back(t);
+  }
+  for (const std::vector<FiveTuple>* flows : {&sampled, &consecutive}) {
+    for (const std::size_t workers : {1u, 2u, 3u, 5u, 8u}) {
+      RssDispatcher rss(workers, /*queue_depth=*/1);
+      std::vector<std::size_t> flows_on(workers, 0);
+      for (const FiveTuple& tuple : *flows) {
+        const std::size_t w = rss.WorkerForTuple(tuple);
+        ASSERT_LT(w, workers);
+        ++flows_on[w];
+      }
+      const std::size_t busiest =
+          *std::max_element(flows_on.begin(), flows_on.end());
+      EXPECT_LE(static_cast<double>(busiest),
+                1.15 * static_cast<double>(kFlows) /
+                    static_cast<double>(workers))
+          << workers << " workers: the busiest holds " << busiest
+          << " flows (" << (flows == &sampled ? "sampled" : "consecutive")
+          << " set)";
+    }
+  }
 }
 
 TEST(Rss, DispatchConsumesItsBatch) {

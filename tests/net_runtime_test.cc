@@ -395,6 +395,14 @@ TEST(Runtime, FlowCorrelatedTraceSpansDispatchWorkersAndRecovery) {
   for (int i = 0; i < 200; ++i) {
     rt.Dispatch(feeder.Next(16));
   }
+  // Shutdown stops the supervisor before it handles a fault still pending,
+  // so wait for the recovery this test traces.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rt.Stats().totals.recoveries < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   rt.Shutdown();
   EXPECT_GE(rt.Stats().totals.recoveries, 1u);
 
