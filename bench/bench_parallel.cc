@@ -4,21 +4,18 @@
 // small, flat constant. The NetBricks deployment model the paper inherits
 // runs one pipeline replica per core with RSS pinning each flow to one
 // core, so the system-level claim is "aggregate throughput scales with
-// cores while the per-call overhead stays in the Figure-2 band". This bench
-// sweeps worker counts over the E1 null-filter pipeline and the Maglev NF,
-// isolated vs direct, and reports:
+// cores". This bench sweeps worker counts over the E1 null-filter pipeline
+// and the Maglev NF, every stage in its own protection domain, and reports:
 //
-//   * aggregate throughput (Mpkts/s) per worker count,
+//   * aggregate throughput (packets per million cycles) per worker count,
 //   * scaling factor relative to 1 worker,
-//   * per-remote-invocation overhead, derived from the isolated/direct
-//     cycle delta per batch per stage (the Figure-2 quantity, now measured
-//     through the full sharded runtime),
+//   * per-batch pipeline cycles (p50 of the runtime's batch histogram),
 //   * RSS load balance across shards (uniform and Zipf-skewed flows).
 //
+// The per-crossing cost itself is bench_fig2_isolation's crossing_hist_p50.
 // Shape expectations: throughput grows with workers as long as the host has
 // cores to back them (the header prints the host's concurrency so a flat
-// curve on a 1-core container is interpretable); overhead/call stays a
-// small constant comparable to bench_fig2_isolation's numbers.
+// curve on a 1-core container is interpretable).
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
@@ -35,7 +32,6 @@
 #include "src/obs/trace.h"
 #include "src/util/bench_json.h"
 #include "src/util/cycles.h"
-#include "src/util/overhead.h"
 
 namespace {
 
@@ -75,18 +71,16 @@ std::vector<net::StageSpec> MaglevSpec() {
 struct RunResult {
   double cycles = 0;         // wall cycles, Start..drained
   std::uint64_t packets = 0;
-  std::uint64_t batches = 0;
   net::RuntimeStats stats;
 };
 
-RunResult RunOnce(std::size_t workers, bool isolated, double zipf,
+RunResult RunOnce(std::size_t workers, double zipf,
                   std::vector<net::StageSpec> spec,
                   net::PipelineSchedule schedule = {}) {
   net::RuntimeConfig cfg;
   cfg.workers = workers;
   cfg.queue_depth = 64;
   cfg.pool_capacity = 8192;
-  cfg.isolated = isolated;
   cfg.schedule = std::move(schedule);
   net::Runtime rt(cfg, std::move(spec));
 
@@ -105,48 +99,34 @@ RunResult RunOnce(std::size_t workers, bool isolated, double zipf,
   r.cycles = static_cast<double>(end - begin);
   r.stats = rt.Stats();
   r.packets = r.stats.totals.packets;
-  r.batches = r.stats.totals.batches;
   return r;
 }
 
 void SweepPipeline(const char* label, const char* label_key,
-                   std::size_t stages,
                    std::vector<net::StageSpec> (*make_spec)()) {
   std::printf("\n=== %s: %d batches x %zu pkts, sweep workers ===\n", label,
               kBatches, kBatchSize);
-  std::printf("%8s %14s %14s %9s %9s %16s %10s\n", "workers", "direct(cyc)",
-              "isolated(cyc)", "Mpkt/cyc", "scaling", "overhead/call",
-              "hwm");
+  std::printf("%8s %14s %9s %9s %10s\n", "workers", "cycles", "Mpkt/cyc",
+              "scaling", "hwm");
 
-  double base_isolated = 0;
+  double base_cycles = 0;
   for (std::size_t workers : {1u, 2u, 4u, 8u}) {
-    const RunResult direct = RunOnce(workers, false, 0.0, make_spec());
-    const RunResult isolated = RunOnce(workers, true, 0.0, make_spec());
+    const RunResult r = RunOnce(workers, 0.0, make_spec());
     if (workers == 1) {
-      base_isolated = isolated.cycles;
+      base_cycles = r.cycles;
     }
-    // Per-remote-invocation overhead from batch-matched per-batch costs;
-    // signed — negative means the isolated run beat the direct baseline
-    // (noise-dominated on oversubscribed hosts). See util/overhead.h for
-    // the full convention.
-    const double overhead_per_call = util::OverheadPerCall(
-        isolated.cycles, isolated.batches, direct.cycles, direct.batches,
-        stages, workers);
-    const double throughput =
-        static_cast<double>(isolated.packets) / isolated.cycles;
-    const double scaling = base_isolated / isolated.cycles;
-    std::printf("%8zu %14.0f %14.0f %9.5f %8.2fx %16.1f %10zu\n", workers,
-                direct.cycles, isolated.cycles, throughput * 1e6, scaling,
-                overhead_per_call, isolated.stats.totals.queue_hwm);
+    const double throughput = static_cast<double>(r.packets) / r.cycles;
+    const double scaling = base_cycles / r.cycles;
+    std::printf("%8zu %14.0f %9.5f %8.2fx %10zu\n", workers, r.cycles,
+                throughput * 1e6, scaling, r.stats.totals.queue_hwm);
     const std::string suffix =
         std::string("_") + label_key + "_w" + std::to_string(workers);
-    g_report->AddScalar("overhead_per_call" + suffix, overhead_per_call);
     g_report->AddScalar("scaling" + suffix, scaling);
     g_report->AddScalar("mpkt_per_mcyc" + suffix, throughput * 1e6);
     // batch_cycles comes straight from the runtime's registry histogram —
     // first use of the consistent-scrape path under real worker load.
     g_report->AddScalar("batch_cycles_p50" + suffix,
-                        isolated.stats.batch_cycles.Percentile(50.0));
+                        r.stats.batch_cycles.Percentile(50.0));
   }
 }
 
@@ -158,7 +138,6 @@ RunResult RunZipf(std::size_t workers, std::uint64_t bursts,
   cfg.workers = workers;
   cfg.queue_depth = 48;  // ring backpressure bounds each worker's backlog
   cfg.pool_capacity = 8192;
-  cfg.isolated = true;
   net::Runtime rt(cfg, std::move(spec));
 
   net::FlowSampler sampler(64, 1.0, 42);
@@ -176,7 +155,6 @@ RunResult RunZipf(std::size_t workers, std::uint64_t bursts,
   r.cycles = static_cast<double>(end - begin);
   r.stats = rt.Stats();
   r.packets = r.stats.totals.packets;
-  r.batches = r.stats.totals.batches;
   return r;
 }
 
@@ -193,12 +171,12 @@ int main(int argc, char** argv) {
               "(scaling flattens once workers exceed cores)\n",
               std::thread::hardware_concurrency());
 
-  SweepPipeline("E1 null-filter x5", "null5", kNullStages, &NullFilterSpec);
-  SweepPipeline("Maglev LB", "maglev", 1, &MaglevSpec);
+  SweepPipeline("E1 null-filter x5", "null5", &NullFilterSpec);
+  SweepPipeline("Maglev LB", "maglev", &MaglevSpec);
 
   std::printf("\n=== RSS shard balance, 4 workers, Maglev ===\n");
   for (double zipf : {0.0, 1.0}) {
-    const RunResult r = RunOnce(4, true, zipf, MaglevSpec());
+    const RunResult r = RunOnce(4, zipf, MaglevSpec());
     std::printf("zipf_s=%.1f  %s\n", zipf, r.stats.Summary().c_str());
     const std::string suffix = zipf > 0 ? "_zipf" : "_uniform";
     report.AddSamples("packets_per_worker" + suffix,
@@ -227,8 +205,7 @@ int main(int argc, char** argv) {
         if (fused) {
           schedule.Fuse(0, kNullStages - 1);
         }
-        RunResult r =
-            RunOnce(1, true, 0.0, NullFilterSpec(), std::move(schedule));
+        RunResult r = RunOnce(1, 0.0, NullFilterSpec(), std::move(schedule));
         if (rep == 0) {
           std::printf("schedule=%s  %s\n", fused ? "fused" : "interpreted",
                       r.stats.Summary().c_str());
@@ -283,9 +260,10 @@ int main(int argc, char** argv) {
     tracer.Disarm();
   }
 
-  std::printf("\npaper reference: Figure 2 overhead 90..122 cyc/call; the "
-              "per-call overhead above should sit in the same band while "
-              "aggregate throughput scales with workers (given cores).\n");
+  std::printf("\npaper reference: aggregate throughput should scale with "
+              "workers (given cores); the per-crossing cost (Figure 2, "
+              "90..122 cyc/call) is bench_fig2_isolation's "
+              "crossing_hist_p50.\n");
   report.WriteFile();
   return 0;
 }

@@ -46,7 +46,6 @@ int RunStormPhase(util::BenchReport& report) {
   cfg.workers = 4;
   cfg.queue_depth = 32;
   cfg.supervision.max_recovery_attempts = 8;
-  cfg.supervision.backoff_initial_us = 50;
   cfg.supervision.watchdog_period_ms = 5;
   std::vector<net::StageSpec> spec;
   spec.push_back({"null", [](std::size_t) {

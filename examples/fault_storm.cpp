@@ -231,8 +231,6 @@ int main(int argc, char** argv) {
   cfg.workers = kWorkers;
   cfg.queue_depth = 32;
   cfg.supervision.max_recovery_attempts = 6;
-  cfg.supervision.backoff_initial_us = 50;
-  cfg.supervision.backoff_max_us = 500;
   cfg.supervision.watchdog_period_ms = 5;
   // Probation: the supervisor probes quarantined replicas after a cool-down.
   // The tap's crash loop is deterministic, so every probe fails and the

@@ -1,9 +1,8 @@
-// Cached obs:: handles for the checkpoint/restore metrics (the kCkpt group).
+// Cached obs:: handles for the checkpoint/restore metrics.
 //
 // Same discipline as sfi::SfiObs: handles resolve once into a function-local
-// static, and the restore paths only touch them while
-// obs::MetricsArmed(MetricGroup::kCkpt) is on — a disarmed restore pays one
-// relaxed load + branch, nothing else.
+// static, and the restore paths only touch them while obs::MetricsArmed()
+// is on — a disarmed restore pays one relaxed load + branch, nothing else.
 //
 // These live in the process-global registry: transactions and replicated
 // state have value lifetimes (often stack-scoped), so per-instance

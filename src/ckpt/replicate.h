@@ -48,7 +48,7 @@ class ReplicatedState {
       std::forward<Fn>(mutator)(primary_);
       txn.Commit();
     }
-    const bool armed = obs::MetricsArmed(obs::MetricGroup::kCkpt);
+    const bool armed = obs::MetricsArmed();
     const std::uint64_t t0 = armed ? util::CycleStart() : 0;
     Snapshot snap = Checkpoint(primary_);
     for (T& replica : replicas_) {
@@ -82,7 +82,7 @@ class ReplicatedState {
   void Failover(std::size_t i) {
     LINSYS_ASSERT(i < replicas_.size(), "replica index out of range");
     LINSYS_TRACE_SPAN("ckpt.failover");
-    const bool armed = obs::MetricsArmed(obs::MetricGroup::kCkpt);
+    const bool armed = obs::MetricsArmed();
     const std::uint64_t t0 = armed ? util::CycleStart() : 0;
     std::swap(primary_, replicas_[i]);
     // Storm hook: promotion happened (the swap is unconditional) but the

@@ -47,7 +47,7 @@ class Transaction {
     // Storm hook: a restore that dies mid-abort. The explicit-Abort caller
     // sees the panic with the state untouched (the undo snapshot survives).
     LINSYS_FAULT_POINT("ckpt.txn_restore");
-    const bool armed = obs::MetricsArmed(obs::MetricGroup::kCkpt);
+    const bool armed = obs::MetricsArmed();
     const std::uint64_t t0 = armed ? util::CycleStart() : 0;
     *state_ = Restore<T>(undo_);
     if (armed) {
@@ -74,7 +74,7 @@ class Transaction {
       if (std::uncaught_exceptions() == 0) {
         LINSYS_FAULT_POINT("ckpt.txn_restore");
       }
-      const bool armed = obs::MetricsArmed(obs::MetricGroup::kCkpt);
+      const bool armed = obs::MetricsArmed();
       const std::uint64_t t0 = armed ? util::CycleStart() : 0;
       *state_ = Restore<T>(undo_);
       if (armed) {

@@ -401,10 +401,6 @@ class IsolatedPipeline {
     return n;
   }
 
-  void SetDegradePolicy(std::size_t i, DegradePolicy p) {
-    members_[i]->health.policy = p;
-  }
-
   // Cap on a doubled probation cool-down (never below the initial one).
   static constexpr std::uint64_t kProbationCooldownMax = 1 << 20;
 

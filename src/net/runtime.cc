@@ -14,9 +14,12 @@
 namespace net {
 namespace {
 
-// Each failed recovery pass multiplies the supervisor's backoff by this
-// (capped at SupervisionConfig::backoff_max_us).
-constexpr std::uint64_t kRecoveryBackoffFactor = 2;
+// Exponential backoff between recovery passes while a recovery keeps
+// failing (its fn panicking): the first wait, the factor each failed pass
+// multiplies it by, and its cap.
+constexpr std::chrono::microseconds kRecoveryBackoffInitial{50};
+constexpr int kRecoveryBackoffFactor = 2;
+constexpr std::chrono::microseconds kRecoveryBackoffMax{2000};
 // Backup replicas behind the runtime snapshot (ckpt::ReplicatedState).
 constexpr std::size_t kCkptReplicas = 1;
 // CheckpointLive gives every worker this long to reach a batch boundary and
@@ -100,11 +103,11 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
       rss_(config.workers, config.queue_depth,
            registry_.GetCounter("runtime.worker_parks_total", config.workers),
            registry_.GetCounter("runtime.dispatch_waits_total")) {
-  LINSYS_ASSERT(config_.frame_len >= kPayloadOffset + kFlowSeqBytes,
-                "frame_len too small for the per-flow sequence stamp");
-  LINSYS_ASSERT(!config_.ckpt.enabled || config_.isolated,
-                "live checkpointing needs isolated pipelines (stage state is "
-                "captured through the per-stage domains)");
+  static_assert(kFrameLen >= kPayloadOffset + kFlowSeqBytes,
+                "frame too small for the per-flow sequence stamp");
+  LINSYS_ASSERT(config_.isolated,
+                "every runtime stage runs in a protection domain "
+                "(RuntimeConfig::isolated must stay true)");
   // One shard per worker: worker w only ever touches cell w, so the packet
   // path is contention-free and Stats() can report per-worker values.
   const std::size_t shards = config_.workers;
@@ -126,7 +129,7 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
   telemetry_.dispatch_faults =
       registry_.GetCounter("runtime.dispatch_faults_total");
   // Producer-side, so TLS-sharded rather than per-worker (any thread may
-  // call Dispatch); only recorded while the net group is armed.
+  // call Dispatch); only recorded while metrics are armed.
   telemetry_.dispatch_cycles =
       registry_.GetHistogram("runtime.dispatch_cycles", 4);
   telemetry_.queue_depth = registry_.GetGauge("runtime.queue_depth", shards);
@@ -200,20 +203,16 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
     workers_.push_back(std::make_unique<Worker>(w, config_));
     Worker& worker = *workers_.back();
     for (const StageSpec& stage : spec) {
-      if (config_.isolated) {
-        // Every worker replica gets its own domain per stage; the name
-        // carries the shard so fault logs identify the replica.
-        worker.isolated.AddStage(
-            stage.name + "@w" + std::to_string(w),
-            [make = stage.make, w] { return make(w); }, stage.degrade);
-      } else {
-        worker.direct.AddStage(stage.make(w));
-      }
+      // Every worker replica gets its own domain per stage; the name
+      // carries the shard so fault logs identify the replica.
+      worker.isolated.AddStage(
+          stage.name + "@w" + std::to_string(w),
+          [make = stage.make, w] { return make(w); }, stage.degrade);
     }
-    if (config_.isolated && config_.schedule.fused()) {
+    if (config_.schedule.fused()) {
       worker.isolated.ApplySchedule(partition);
     }
-    if (config_.isolated && config_.supervision.probation_cooldown_batches > 0) {
+    if (config_.supervision.probation_cooldown_batches > 0) {
       worker.isolated.SetProbation(config_.supervision.probation_cooldown_batches);
       // Probe outcomes land in per-worker counter shards; the per-stage
       // split comes from StageHealth in Stats().
@@ -306,14 +305,10 @@ std::string Runtime::HealthzJson() {
   const bool accepting = accepting_.load(std::memory_order_acquire);
   std::size_t quarantined = 0;
   std::size_t failed = 0;
-  if (config_.isolated) {
-    for (const auto& w : workers_) {
-      std::lock_guard<std::mutex> lock(w->mu);
-      failed += w->isolated.FailedStages();
-      for (std::size_t i = 0; i < w->isolated.length(); ++i) {
-        quarantined += w->isolated.health(i).quarantined ? 1 : 0;
-      }
-    }
+  for (const auto& w : workers_) {
+    std::lock_guard<std::mutex> lock(w->mu);
+    failed += w->isolated.FailedStages();
+    quarantined += w->isolated.QuarantinedStages();
   }
   // "ok" degrades to "degraded" while any stage replica is quarantined or
   // awaiting recovery, and to "stopping" once Shutdown has begun — the
@@ -458,7 +453,7 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   std::size_t materialize_drops = 0;
   try {
     for (const FlowWork& fw : flows) {
-      PacketBuf pkt = PacketBuf::Alloc(&w.pool, config_.frame_len);
+      PacketBuf pkt = PacketBuf::Alloc(&w.pool, kFrameLen);
       if (!pkt.has_value()) {
         ++materialize_drops;
         continue;
@@ -483,61 +478,45 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   }
   const std::size_t n = batch.size();
 
-  if (config_.isolated) {
-    // Always-on latency sample: two cycle reads per *sub-batch*, amortized
-    // over its packets — not on the per-call path Figure 2 measures.
-    const std::uint64_t t0 = util::CycleStart();
-    std::unique_lock<std::mutex> lock(w.mu);
-    const std::uint64_t qdrop_before = w.isolated.QuarantineDropPkts();
-    auto result = w.isolated.Run(std::move(batch));
-    const std::uint64_t qdrop_delta =
-        w.isolated.QuarantineDropPkts() - qdrop_before;
-    lock.unlock();
-    const std::uint64_t batch_cycles = util::CycleEnd() - t0;
-    telemetry_.batch_cycles->RecordWithExemplar(w.index, batch_cycles,
-                                                flows.flow_id());
-    if (!result.ok()) {
-      // The in-flight batch was reclaimed during unwinding (still on this
-      // thread, still this worker's pool). kFault = a fresh panic, worth
-      // waking the supervisor; kDomainFailed = still waiting on recovery;
-      // kQuarantined = a fail-fast stage, nothing left to recover.
-      telemetry_.drops->Add(w.index, n);
-      if (result.error() == sfi::CallError::kFault) {
-        telemetry_.faults->Inc(w.index);
-        NotifyFault();
-      }
-      return;
-    }
-    PacketBatch out = std::move(result).value();
-    // A quarantined kDrop stage returns Ok(empty): mirror its drop count
-    // into the shard counter so conservation (packets + drops ==
-    // materialized) still holds under degradation.
-    if (qdrop_delta > 0) {
-      telemetry_.drops->Add(w.index, qdrop_delta);
-    }
-    // Delivery: the SLO clock that started in Dispatch stops here. Always
-    // on — queue wait and checkpoint pauses this batch lived through are
-    // inside this number, which is exactly why it is the client-visible
-    // quantity. Recorded before the packet counters move, so a reader that
-    // sees every packet counted also sees every latency sample.
-    RecordDelivery(w, flows);
-    telemetry_.packets->Add(w.index, out.size());
-    telemetry_.batches->Inc(w.index);
-  } else {
-    try {
-      const std::uint64_t t0 = util::CycleStart();
-      PacketBatch out = w.direct.Run(std::move(batch));
-      telemetry_.batch_cycles->Record(w.index, util::CycleEnd() - t0);
-      RecordDelivery(w, flows);
-      telemetry_.packets->Add(w.index, out.size());
-      telemetry_.batches->Inc(w.index);
-    } catch (const util::PanicError&) {
-      // The direct flavour has no containment: the batch died mid-stage
-      // and there is no domain to recover, only telemetry to keep.
-      telemetry_.drops->Add(w.index, n);
+  // Always-on latency sample: two cycle reads per *sub-batch*, amortized
+  // over its packets — not on the per-call path Figure 2 measures.
+  const std::uint64_t t0 = util::CycleStart();
+  std::unique_lock<std::mutex> lock(w.mu);
+  const std::uint64_t qdrop_before = w.isolated.QuarantineDropPkts();
+  auto result = w.isolated.Run(std::move(batch));
+  const std::uint64_t qdrop_delta =
+      w.isolated.QuarantineDropPkts() - qdrop_before;
+  lock.unlock();
+  const std::uint64_t batch_cycles = util::CycleEnd() - t0;
+  telemetry_.batch_cycles->RecordWithExemplar(w.index, batch_cycles,
+                                              flows.flow_id());
+  if (!result.ok()) {
+    // The in-flight batch was reclaimed during unwinding (still on this
+    // thread, still this worker's pool). kFault = a fresh panic, worth
+    // waking the supervisor; kDomainFailed = still waiting on recovery;
+    // kQuarantined = a fail-fast stage, nothing left to recover.
+    telemetry_.drops->Add(w.index, n);
+    if (result.error() == sfi::CallError::kFault) {
       telemetry_.faults->Inc(w.index);
+      NotifyFault();
     }
+    return;
   }
+  PacketBatch out = std::move(result).value();
+  // A quarantined kDrop stage returns Ok(empty): mirror its drop count
+  // into the shard counter so conservation (packets + drops ==
+  // materialized) still holds under degradation.
+  if (qdrop_delta > 0) {
+    telemetry_.drops->Add(w.index, qdrop_delta);
+  }
+  // Delivery: the SLO clock that started in Dispatch stops here. Always
+  // on — queue wait and checkpoint pauses this batch lived through are
+  // inside this number, which is exactly why it is the client-visible
+  // quantity. Recorded before the packet counters move, so a reader that
+  // sees every packet counted also sees every latency sample.
+  RecordDelivery(w, flows);
+  telemetry_.packets->Add(w.index, out.size());
+  telemetry_.batches->Inc(w.index);
 }
 
 bool Runtime::RecoveryPass() {
@@ -572,7 +551,7 @@ void Runtime::SupervisorMain() {
 
   std::vector<std::uint64_t> last_beat(workers_.size(), 0);
   std::vector<bool> flagged(workers_.size(), false);
-  std::uint32_t backoff_us = sup.backoff_initial_us;
+  std::chrono::microseconds backoff = kRecoveryBackoffInitial;
   Clock::time_point next_retry = Clock::now();
   bool recover_requested = false;
 
@@ -599,7 +578,7 @@ void Runtime::SupervisorMain() {
     lock.unlock();
 
     // Recovery sweep, gated by the backoff clock. While a recovery function
-    // keeps panicking, passes run at backoff_initial * 2^k (capped);
+    // keeps panicking, passes run at kRecoveryBackoffInitial * 2^k (capped);
     // the moment a pass leaves no stage Failed the backoff resets, so a
     // healthy fault hits recovery at full speed. Crash-loops whose recovery
     // *succeeds* but immediately re-faults are bounded separately, by the
@@ -607,13 +586,13 @@ void Runtime::SupervisorMain() {
     if (recover_requested && Clock::now() >= next_retry) {
       const bool still_failed = RecoveryPass();
       if (still_failed) {
-        next_retry = Clock::now() + std::chrono::microseconds(backoff_us);
-        backoff_us = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            backoff_us * kRecoveryBackoffFactor, sup.backoff_max_us));
+        next_retry = Clock::now() + backoff;
+        backoff = std::min(backoff * kRecoveryBackoffFactor,
+                           kRecoveryBackoffMax);
         // recover_requested stays true: retry when the backoff expires.
       } else {
         recover_requested = false;
-        backoff_us = sup.backoff_initial_us;
+        backoff = kRecoveryBackoffInitial;
         next_retry = Clock::now();
       }
     }
@@ -640,7 +619,7 @@ void Runtime::SupervisorMain() {
     // Quarantine probation rides the supervisor cadence: a quarantined
     // stage whose cool-down has elapsed gets a fresh domain and one probe
     // batch; the probe's outcome (in Pipeline::Run) settles it.
-    if (config_.isolated && config_.supervision.probation_cooldown_batches > 0) {
+    if (sup.probation_cooldown_batches > 0) {
       for (auto& w : workers_) {
         std::lock_guard<std::mutex> wlock(w->mu);
         (void)w->isolated.ProbeQuarantined();
@@ -777,7 +756,7 @@ bool Runtime::CheckpointLive() {
   }
   ++ckpt_epoch_seq_;
   telemetry_.ckpt_epochs->Inc();
-  if (obs::MetricsArmed(obs::MetricGroup::kCkpt)) {
+  if (obs::MetricsArmed()) {
     ckpt::CkptObs::Get().runtime_epoch_cycles->Record(util::CycleEnd() - t0);
   }
   return true;
@@ -892,7 +871,7 @@ RuntimeStats Runtime::Stats() const {
     s.mempool_in_use += pool.in_use;
     s.mempool_in_use_hwm = std::max(s.mempool_in_use_hwm, pool.in_use_hwm);
     s.mempool_alloc_failures += pool.alloc_failures;
-    if (config_.isolated) {
+    {
       // Per-stage health lives behind the worker mutex (it is plain state
       // shared by Run and the supervisor).
       std::lock_guard<std::mutex> lock(w->mu);

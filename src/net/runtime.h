@@ -123,11 +123,6 @@ struct SupervisionConfig {
   // Recovery attempts a stage may accumulate without an intervening
   // successful batch before it is quarantined. 0 = never quarantine.
   std::size_t max_recovery_attempts = 8;
-  // Exponential backoff between recovery passes while a recovery keeps
-  // failing (its fn panicking): initial wait and cap; each failed pass
-  // doubles the wait.
-  std::uint32_t backoff_initial_us = 50;
-  std::uint32_t backoff_max_us = 2000;
   // Supervisor wake cadence; also the watchdog resolution — a worker busy on
   // one batch across a full period without a heartbeat is flagged stuck.
   std::uint32_t watchdog_period_ms = 25;
@@ -140,7 +135,6 @@ struct SupervisionConfig {
 };
 
 // Live checkpointing & failover (Runtime::CheckpointLive/FailoverWorker).
-// Requires `isolated` pipelines.
 struct CkptConfig {
   bool enabled = false;
 };
@@ -149,14 +143,13 @@ struct RuntimeConfig {
   std::size_t workers = 1;
   std::size_t queue_depth = 64;       // slots per worker ring (> 0)
   std::size_t pool_capacity = 4096;   // per-worker mempool slots
-  std::size_t buf_size = 2048;
-  std::uint16_t frame_len = 64;
-  bool isolated = true;               // IsolatedPipeline vs direct Pipeline
+  // Every stage runs in a protection domain; the constructor refuses false
+  // with a PanicError. The field is still declared only because nfbench
+  // assigns `isolated = true`; it goes once that line does.
+  bool isolated = true;
   // How the stage chain maps onto protection domains (src/net/schedule.h).
   // Default: interpreted, one domain per stage. Resolved once against the
   // spec's length and applied to every worker's replica before traffic.
-  // Ignored for direct (non-isolated) pipelines, which are always fully
-  // fused by construction.
   PipelineSchedule schedule;
   SupervisionConfig supervision;
   CkptConfig ckpt;
@@ -302,7 +295,7 @@ class Runtime {
     // dispatched *batch*.
     batch.set_dispatch_tsc(util::CycleStart());
     LINSYS_TRACE_ASYNC_SPAN("flow.dispatch", "flow", flow_id);
-    const bool armed = obs::MetricsArmed(obs::MetricGroup::kNet);
+    const bool armed = obs::MetricsArmed();
     const std::uint64_t t0 = armed ? util::CycleStart() : 0;
     try {
       rss_.Dispatch(std::move(batch));
@@ -371,22 +364,20 @@ class Runtime {
   // exporter form. Safe to call from any thread while workers run.
   obs::Registry& registry() { return registry_; }
 
-  // The live ops endpoint (nullptr unless RuntimeConfig::ops.enabled and
-  // Start() managed to bind it). Valid until Shutdown returns.
-  obs::OpsServer* ops_server() { return ops_server_.get(); }
   std::string ScrapePrometheus() const { return registry_.Scrape().ToPrometheus(); }
   std::string ScrapeJson() const { return registry_.Scrape().ToJson(); }
 
-  std::size_t worker_count() const { return workers_.size(); }
-  std::uint16_t frame_len() const { return config_.frame_len; }
-
  private:
+  // Every materialized frame is kFrameLen bytes (the 64 B Ethernet
+  // minimum), built in a mempool buffer of kBufSize bytes.
+  static constexpr std::uint16_t kFrameLen = 64;
+  static constexpr std::size_t kBufSize = 2048;
+
   struct Worker {
     std::size_t index = 0;
     Mempool pool;
     sfi::DomainManager mgr;
     IsolatedPipeline isolated{&mgr};
-    Pipeline direct;
     // Serializes pipeline use (worker thread) against stage recovery and
     // health snapshots (supervisor thread, Stats). Uncontended on the fast
     // path: the supervisor only takes it on its periodic wakes.
@@ -409,7 +400,7 @@ class Runtime {
     std::thread thread;
 
     Worker(std::size_t idx, const RuntimeConfig& cfg)
-        : index(idx), pool(cfg.pool_capacity, cfg.buf_size) {}
+        : index(idx), pool(cfg.pool_capacity, kBufSize) {}
   };
 
   // Cached registry handles: resolved once in the constructor, then the
@@ -440,7 +431,7 @@ class Runtime {
     obs::Histogram* latency_queue_cycles = nullptr;
     obs::Histogram* latency_service_cycles = nullptr;
     obs::Histogram* latency_fence_cycles = nullptr;
-    obs::Histogram* dispatch_cycles = nullptr;  // kNet-armed only
+    obs::Histogram* dispatch_cycles = nullptr;  // armed only
     obs::Histogram* ckpt_pause_cycles = nullptr;      // per-worker shards
     obs::Histogram* failover_resync_cycles = nullptr;
   };

@@ -7,21 +7,11 @@
 namespace obs {
 
 namespace internal {
-std::atomic<std::uint32_t> g_metrics_armed_mask{0};
+std::atomic<bool> g_metrics_armed{false};
 }  // namespace internal
 
 void ArmMetrics(bool on) {
-  internal::g_metrics_armed_mask.store(on ? kAllMetricGroups : 0u,
-                                       std::memory_order_relaxed);
-}
-
-void ArmMetricsGroup(MetricGroup g, bool on) {
-  const std::uint32_t bit = 1u << static_cast<unsigned>(g);
-  if (on) {
-    internal::g_metrics_armed_mask.fetch_or(bit, std::memory_order_relaxed);
-  } else {
-    internal::g_metrics_armed_mask.fetch_and(~bit, std::memory_order_relaxed);
-  }
+  internal::g_metrics_armed.store(on, std::memory_order_relaxed);
 }
 
 std::size_t ThisThreadShard(std::size_t shards) {

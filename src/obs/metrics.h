@@ -41,38 +41,17 @@
 namespace obs {
 
 namespace internal {
-extern std::atomic<std::uint32_t> g_metrics_armed_mask;
+extern std::atomic<bool> g_metrics_armed;
 }  // namespace internal
 
-// Metric groups, armable independently: a bench can arm just the sfi
-// crossing histograms while the net dispatch histograms stay disarmed, so
-// instrumentation in one subsystem never taxes a measurement of another.
-enum class MetricGroup : unsigned {
-  kSfi = 0,    // per-crossing / recovery cycle histograms (sfi::)
-  kNet = 1,    // dispatch / batch cycle histograms (net::Runtime)
-  kCkpt = 2,   // checkpoint/restore cycle histograms (ckpt::)
-  kFault = 3,  // per-site fault-fire counters (util::FaultInjector)
-};
-inline constexpr std::uint32_t kAllMetricGroups = 0xFu;
-
-// True while *any* group wants per-event cycle metrics. The check is the
-// entire disarmed cost: one relaxed load + a predictable branch.
+// True while per-event cycle metrics are armed. The check is the entire
+// disarmed cost: one relaxed load + a predictable branch.
 inline bool MetricsArmed() {
-  return internal::g_metrics_armed_mask.load(std::memory_order_relaxed) != 0;
+  return internal::g_metrics_armed.load(std::memory_order_relaxed);
 }
 
-// True while group `g` is armed. Same disarmed cost as the global check —
-// one relaxed load; the mask test is a register AND against an immediate.
-inline bool MetricsArmed(MetricGroup g) {
-  return (internal::g_metrics_armed_mask.load(std::memory_order_relaxed) &
-          (1u << static_cast<unsigned>(g))) != 0;
-}
-
-// Arms/disarms every group at once (the PR 3 global flag, preserved).
+// Arms/disarms every per-event cycle metric at once.
 void ArmMetrics(bool on);
-
-// Arms/disarms one group, leaving the others as they are.
-void ArmMetricsGroup(MetricGroup g, bool on);
 
 // Stable per-thread shard assignment for metrics without a natural owner
 // index: threads are numbered in first-use order, folded onto [0, shards).

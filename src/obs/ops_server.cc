@@ -20,6 +20,9 @@ namespace obs {
 
 namespace {
 
+// Reads stalling longer than this get the connection dropped.
+constexpr int kRecvTimeoutMs = 2000;
+
 // Blocking full write with EINTR retry; MSG_NOSIGNAL so a client that hung
 // up mid-response costs us an EPIPE, not a process-wide SIGPIPE.
 bool SendAll(int fd, const char* data, std::size_t len) {
@@ -231,8 +234,8 @@ void OpsServer::Serve() {
 
 void OpsServer::HandleConnection(int fd) {
   timeval tv{};
-  tv.tv_sec = config_.recv_timeout_ms / 1000;
-  tv.tv_usec = (config_.recv_timeout_ms % 1000) * 1000;
+  tv.tv_sec = kRecvTimeoutMs / 1000;
+  tv.tv_usec = (kRecvTimeoutMs % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 
   // Read until the header terminator. GETs have no body, so the terminator
@@ -241,7 +244,7 @@ void OpsServer::HandleConnection(int fd) {
   std::string req;
   char buf[1024];
   bool complete = false;
-  while (req.size() < config_.max_request_bytes) {
+  while (req.size() < kMaxRequestBytes) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       break;  // EOF, timeout, or error: work with what we have
@@ -255,7 +258,7 @@ void OpsServer::HandleConnection(int fd) {
   }
   requests_.fetch_add(1, std::memory_order_acq_rel);
 
-  if (!complete && req.size() >= config_.max_request_bytes) {
+  if (!complete && req.size() >= kMaxRequestBytes) {
     WriteResponse(fd, 431, "text/plain", "request too large\n");
     return;
   }

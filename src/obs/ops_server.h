@@ -63,10 +63,6 @@ struct OpsServerConfig {
   // TCP loopback listener on 127.0.0.1: -1 = off (default), 0 = ephemeral
   // (see OpsServer::tcp_port() for the kernel's choice), >0 = fixed port.
   int tcp_port = -1;
-  // Requests larger than this (headers included) get 431 and a close.
-  std::size_t max_request_bytes = 4096;
-  // Reads stalling longer than this get the connection dropped.
-  int recv_timeout_ms = 2000;
   // Histogram whose per-interval quantiles become the "slo" summary in
   // /metrics/delta responses.
   std::string slo_metric = "runtime.delivery_latency_cycles";
@@ -81,6 +77,9 @@ class OpsServer {
     Profiler* profiler = nullptr;         // /profile source (optional)
     std::function<std::string()> healthz;  // /healthz JSON body (optional)
   };
+
+  // Requests larger than this (headers included) get 431 and a close.
+  static constexpr std::size_t kMaxRequestBytes = 4096;
 
   OpsServer(OpsServerConfig config, Hooks hooks);
   ~OpsServer();

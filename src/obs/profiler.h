@@ -67,8 +67,10 @@ struct ProfThreadContext {
   std::atomic<std::uint64_t> flow{0};
 };
 
-// Null until the thread calls Profiler::RegisterThisThread.
-extern thread_local ProfThreadContext* g_prof_ctx;
+// Null until the thread calls Profiler::RegisterThisThread. constinit, so
+// other translation units read it directly rather than through a TLS init
+// wrapper (which UBSan reports as a null-pointer access).
+extern constinit thread_local ProfThreadContext* g_prof_ctx;
 
 }  // namespace internal
 
@@ -111,13 +113,6 @@ class Profiler {
   bool window_open() const;
 
   // --- context setters (any thread; no-ops unless registered + armed) ---
-
-  static void SetStage(const char* name) {
-    internal::ProfThreadContext* ctx = internal::g_prof_ctx;
-    if (ctx != nullptr && ArmedFast()) {
-      ctx->stage.store(name, std::memory_order_relaxed);
-    }
-  }
 
   static void SetFlow(std::uint64_t id) {
     internal::ProfThreadContext* ctx = internal::g_prof_ctx;

@@ -9,7 +9,7 @@ namespace obs {
 
 namespace internal {
 std::atomic<bool> g_trace_armed{false};
-thread_local std::uint64_t g_current_flow = 0;
+constinit thread_local std::uint64_t g_current_flow = 0;
 }  // namespace internal
 
 std::uint64_t NextFlowId() {

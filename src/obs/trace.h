@@ -61,8 +61,10 @@ struct TraceEvent {
 // carried in TLS while that flow's work executes, so instrumentation deep in
 // the stack (sfi crossings, recovery, histogram exemplars) can tag what it
 // records with *which* flow it happened to. 0 means "no flow context".
+// constinit, so other translation units read it directly rather than
+// through a TLS init wrapper (which UBSan reports as a null-pointer access).
 namespace internal {
-extern thread_local std::uint64_t g_current_flow;
+extern constinit thread_local std::uint64_t g_current_flow;
 }  // namespace internal
 
 // Process-unique flow ids (monotone, never 0). Cheap: one relaxed RMW.

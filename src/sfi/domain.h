@@ -72,15 +72,16 @@ class Domain {
   const std::string& name() const { return name_; }
   DomainState state() const { return state_.load(std::memory_order_acquire); }
 
-  // Runs `f` inside this domain: the thread-local domain is switched, panics
-  // are caught at this boundary (the paper's "unwind the stack of the calling
-  // thread to the domain entry point"), and a fault marks the domain Failed.
+  // Runs `f` inside this domain: the thread-local domain is switched, any
+  // exception — a panic, std::bad_alloc, anything else — is caught at this
+  // boundary (the paper's "unwind the stack of the calling thread to the
+  // domain entry point"), and a fault marks the domain Failed.
   template <typename F>
   auto Execute(F&& f) -> util::Result<std::invoke_result_t<F&&>, CallError> {
     using R = std::invoke_result_t<F&&>;
     // Same armed-gated crossing instrumentation as RRef::Call: one relaxed
     // load when disarmed, a cycle histogram sample when armed.
-    const bool armed = obs::MetricsArmed(obs::MetricGroup::kSfi);
+    const bool armed = obs::MetricsArmed();
     const std::uint64_t t0 = armed ? util::CycleStart() : 0;
     if (state() != DomainState::kRunning) {
       return util::Err(CallError::kDomainFailed);
@@ -115,7 +116,7 @@ class Domain {
                                    obs::CurrentFlowId());
         return util::Result<R, CallError>::Ok(std::move(result));
       }
-    } catch (const util::PanicError&) {
+    } catch (...) {
       MarkFailed();
       return util::Err(CallError::kFault);
     }
@@ -143,10 +144,10 @@ class Domain {
   // owns, expires all rrefs), transition back to Running, then let the
   // user-provided function rebuild state and re-populate the table.
   //
-  // Hardened: a panic raised *inside the recovery function* is caught here —
-  // the domain goes back to Failed, the panic is counted
+  // Hardened: a panic (or any other exception) raised *inside the recovery
+  // function* is caught here — the domain goes back to Failed, it is counted
   // (stats().recovery_panics), and false is returned so supervisors can
-  // re-queue the attempt instead of dying to an escaped PanicError.
+  // re-queue the attempt instead of dying to an escaped exception.
   bool Recover() {
     // Recovery is the cold path, but its latency is a headline number
     // (paper: 4389 cycles), so the cycle cost is recorded whenever metrics
@@ -156,7 +157,7 @@ class Domain {
     // the supervisor thread, so the id comes from the fault capture, not TLS.
     const std::uint64_t fault_flow = last_fault_flow();
     LINSYS_TRACE_ASYNC_SPAN("flow.recover", "flow", fault_flow);
-    const bool armed = obs::MetricsArmed(obs::MetricGroup::kSfi);
+    const bool armed = obs::MetricsArmed();
     const std::uint64_t t0 = armed ? util::CycleStart() : 0;
     ref_table_.Clear();
     state_.store(DomainState::kRunning, std::memory_order_release);
@@ -165,7 +166,7 @@ class Domain {
       try {
         LINSYS_FAULT_POINT("sfi.recover");
         recovery_(*this);
-      } catch (const util::PanicError&) {
+      } catch (...) {
         // Not MarkFailed(): a broken recovery fn is not a fresh fault, it is
         // the same incident still unresolved.
         state_.store(DomainState::kFailed, std::memory_order_release);

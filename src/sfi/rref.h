@@ -25,7 +25,6 @@
 #include "src/sfi/obs.h"
 #include "src/sfi/proxy.h"
 #include "src/util/cycles.h"
-#include "src/util/panic.h"
 #include "src/util/result.h"
 
 namespace sfi {
@@ -38,15 +37,16 @@ class RRef {
 
   // Remote invocation: borrow the remote object for the duration of `f`.
   // The call runs *inside* the owning domain (TLS domain id is switched) and
-  // panics are converted to CallError::kFault at this boundary after the
-  // stack unwinds back here — the domain entry point.
+  // any exception it raises — a panic or any other — is converted to
+  // CallError::kFault at this boundary after the stack unwinds back here —
+  // the domain entry point.
   template <typename F>
   auto Call(F&& f, std::string_view method = {}) const
       -> util::Result<std::invoke_result_t<F&&, T&>, CallError> {
     using R = std::invoke_result_t<F&&, T&>;
     // Disarmed cost of the instrumentation below: this one relaxed load and
     // predictable branches on `armed` (the Figure-2 budget, DESIGN.md §obs).
-    const bool armed = obs::MetricsArmed(obs::MetricGroup::kSfi);
+    const bool armed = obs::MetricsArmed();
     const std::uint64_t t0 = armed ? util::CycleStart() : 0;
     ProxyHandle strong = proxy_.Upgrade();
     if (!strong.has_value()) {
@@ -88,7 +88,7 @@ class RRef {
         LINSYS_TRACE_ASYNC_INSTANT("flow.stage", "flow", obs::CurrentFlowId());
         return util::Result<R, CallError>::Ok(std::move(result));
       }
-    } catch (const util::PanicError&) {
+    } catch (...) {
       owner->MarkFailed();
       return util::Err(CallError::kFault);
     }

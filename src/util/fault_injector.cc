@@ -182,10 +182,9 @@ void FaultInjector::Hit(std::string_view site) {
   // the global registry and, when tracing, as an instant named after the
   // site so the trace shows *which* fault point started an incident.
   obs::Registry::Global().GetCounter("fault.fires_total")->Inc();
-  // Per-site fire counters are the kFault metric group: finer-grained than
-  // the total (one registry series per site name), so only kept while a
-  // harness armed them. The registry lookup is fine here — firing unwinds.
-  if (obs::MetricsArmed(obs::MetricGroup::kFault)) {
+  // Per-site fire counters are finer-grained than the total (one registry
+  // series per site name), so only kept while a harness armed metrics. The registry lookup is fine here — firing unwinds.
+  if (obs::MetricsArmed()) {
     obs::Registry::Global()
         .GetCounter("fault.fires." + fired_name)
         ->Inc();

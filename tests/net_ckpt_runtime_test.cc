@@ -412,8 +412,6 @@ TEST_F(CkptRuntimeTest, QuarantinedStageRoundTripsDegraded) {
 
   RuntimeConfig cfg = CkptConfigFor(2);
   cfg.supervision.max_recovery_attempts = 2;
-  cfg.supervision.backoff_initial_us = 50;
-  cfg.supervision.backoff_max_us = 200;
   std::vector<StageSpec> spec;
   // fault_every_n == 1 + sabotaged recovery: crash-loops into quarantine.
   spec.push_back({"crashy",

@@ -419,8 +419,6 @@ TEST_F(FusedRuntimeTest, FaultInFusedGroupQuarantinesOnlyTheMember) {
   cfg.workers = 2;
   cfg.schedule.Fuse(0, 2);
   cfg.supervision.max_recovery_attempts = 2;
-  cfg.supervision.backoff_initial_us = 50;
-  cfg.supervision.backoff_max_us = 200;
   cfg.supervision.watchdog_period_ms = 2;
   Runtime rt(cfg, Chain3(DegradePolicy::kPassthrough, /*fault_every_n=*/1));
   rt.Start();

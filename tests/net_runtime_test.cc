@@ -180,25 +180,16 @@ TEST(Runtime, FaultOnOneShardIsRecoveredWithoutStallingOthers) {
             kBatches * kBatchSize);
 }
 
-TEST(Runtime, DirectModeRunsWithoutDomains) {
+// Every stage runs in a protection domain: a config asking for an
+// unisolated runtime is refused, not silently run isolated.
+TEST(Runtime, UnisolatedConfigIsRefused) {
   RuntimeConfig cfg;
   cfg.workers = 2;
   cfg.isolated = false;
   std::vector<StageSpec> spec;
   spec.push_back(
       {"null", [](std::size_t) { return std::make_unique<NullFilter>(); }});
-  Runtime rt(cfg, spec);
-  rt.Start();
-
-  FlowSampler sampler(32, 0.0, 3);
-  FlowFeeder feeder(&sampler);
-  for (int i = 0; i < 50; ++i) {
-    rt.Dispatch(feeder.Next(8));
-  }
-  rt.Shutdown();
-  const RuntimeStats stats = rt.Stats();
-  EXPECT_EQ(stats.totals.packets, 400u);
-  EXPECT_EQ(stats.totals.faults, 0u);
+  EXPECT_THROW({ Runtime rt(cfg, spec); }, util::PanicError);
 }
 
 TEST(Runtime, FlowPinningIsStable) {

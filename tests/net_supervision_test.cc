@@ -7,6 +7,9 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -32,8 +35,6 @@ class SupervisionTest : public ::testing::Test {
 SupervisionConfig FastSupervision(std::size_t max_attempts) {
   SupervisionConfig sup;
   sup.max_recovery_attempts = max_attempts;
-  sup.backoff_initial_us = 50;
-  sup.backoff_max_us = 200;
   sup.watchdog_period_ms = 2;
   return sup;
 }
@@ -63,6 +64,72 @@ bool DispatchUntil(Runtime& rt, FlowFeeder& feeder, Pred pred) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return pred(rt.Stats());
+}
+
+// Throws `raise`'s exception on every third batch — an operator bug that
+// is not a util::PanicError.
+class ThrowsEveryThirdBatch : public Operator {
+ public:
+  explicit ThrowsEveryThirdBatch(void (*raise)()) : raise_(raise) {}
+
+  PacketBatch Process(PacketBatch batch) override {
+    if (++batches_ % 3 == 0) {
+      raise_();
+    }
+    return batch;
+  }
+
+  std::string_view name() const override { return "thrower"; }
+
+ private:
+  void (*raise_)();
+  std::uint64_t batches_ = 0;
+};
+
+// A std::runtime_error or std::bad_alloc from a stage is contained like a
+// panic: the batch is dropped, the fault counted, the domain recovered, and
+// both workers keep serving.
+TEST_F(SupervisionTest, NonPanicExceptionsAreContainedAndRecovered) {
+  struct Case {
+    const char* what;
+    void (*raise)();
+  };
+  for (const Case& c :
+       {Case{"runtime_error", [] { throw std::runtime_error("operator bug"); }},
+        Case{"bad_alloc", [] { throw std::bad_alloc(); }}}) {
+    SCOPED_TRACE(c.what);
+    RuntimeConfig cfg;
+    cfg.workers = 2;
+    cfg.supervision = FastSupervision(/*max_attempts=*/8);
+    std::vector<StageSpec> spec;
+    spec.push_back({"thrower", [raise = c.raise](std::size_t) {
+                      return std::make_unique<ThrowsEveryThirdBatch>(raise);
+                    }});
+    Runtime rt(cfg, spec);
+    rt.Start();
+
+    constexpr int kBatches = 50;
+    constexpr std::size_t kBatchSize = 8;
+    FlowSampler sampler(32, 0.0, 17);
+    FlowFeeder feeder(&sampler);
+    for (int i = 0; i < kBatches; ++i) {
+      rt.Dispatch(feeder.Next(kBatchSize));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    // Let the supervisor finish the last recoveries before shutdown.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (rt.Stats().totals.recoveries < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    rt.Shutdown();
+
+    const RuntimeStats stats = rt.Stats();
+    EXPECT_EQ(stats.totals.packets + stats.totals.drops, kBatches * kBatchSize);
+    EXPECT_GE(stats.totals.faults, 2u);
+    EXPECT_GE(stats.totals.recoveries, 2u);
+  }
 }
 
 // The ISSUE's headline regression: a stage whose operator always panics AND

@@ -196,7 +196,6 @@ TEST(OpsServerTest, MalformedRequestsGet4xxWithoutCrash) {
   OpsServerConfig cfg;
   cfg.enabled = true;
   cfg.unix_path = sock;
-  cfg.max_request_bytes = 512;
   OpsServer::Hooks hooks;
   hooks.registry = &registry;
   OpsServer server(cfg, hooks);
@@ -207,8 +206,10 @@ TEST(OpsServerTest, MalformedRequestsGet4xxWithoutCrash) {
             405);
   EXPECT_EQ(StatusOf(RawRequest(sock, "garbage\r\n\r\n")), 400);
   EXPECT_EQ(StatusOf(RawRequest(sock, "GET metrics HTTP/1.0\r\n\r\n")), 400);
-  // Oversized request: longer than max_request_bytes with no terminator.
-  EXPECT_EQ(StatusOf(RawRequest(sock, std::string(2048, 'A'))), 431);
+  // Oversized request: longer than the cap with no terminator.
+  EXPECT_EQ(StatusOf(RawRequest(
+                sock, std::string(2 * OpsServer::kMaxRequestBytes, 'A'))),
+            431);
   // A zero-byte connection (connect + immediate close) must not wedge it.
   EXPECT_EQ(StatusOf(RawRequest(sock, "")), 400);
   // Query strings are stripped, bare request lines tolerated.

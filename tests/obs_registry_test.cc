@@ -202,30 +202,6 @@ TEST(Metrics, ArmDisarmFlag) {
   EXPECT_FALSE(obs::MetricsArmed());
 }
 
-TEST(Metrics, PerGroupArmDisarm) {
-  // Groups arm independently; the plain MetricsArmed() is "any group on".
-  obs::ArmMetrics(false);
-  EXPECT_FALSE(obs::MetricsArmed());
-  obs::ArmMetricsGroup(obs::MetricGroup::kSfi, true);
-  EXPECT_TRUE(obs::MetricsArmed());
-  EXPECT_TRUE(obs::MetricsArmed(obs::MetricGroup::kSfi));
-  EXPECT_FALSE(obs::MetricsArmed(obs::MetricGroup::kNet));
-  EXPECT_FALSE(obs::MetricsArmed(obs::MetricGroup::kCkpt));
-  EXPECT_FALSE(obs::MetricsArmed(obs::MetricGroup::kFault));
-
-  // ArmMetrics(true) is "all groups"; a single group can then drop out.
-  obs::ArmMetrics(true);
-  EXPECT_TRUE(obs::MetricsArmed(obs::MetricGroup::kNet));
-  obs::ArmMetricsGroup(obs::MetricGroup::kNet, false);
-  EXPECT_FALSE(obs::MetricsArmed(obs::MetricGroup::kNet));
-  EXPECT_TRUE(obs::MetricsArmed(obs::MetricGroup::kSfi));
-  EXPECT_TRUE(obs::MetricsArmed());
-
-  obs::ArmMetrics(false);
-  EXPECT_FALSE(obs::MetricsArmed());
-  EXPECT_FALSE(obs::MetricsArmed(obs::MetricGroup::kSfi));
-}
-
 TEST(Histogram, ExemplarsLinkLastSampleToTraceId) {
   obs::Histogram h(2);
   h.Record(0, 100);  // plain record: no exemplar for this bucket

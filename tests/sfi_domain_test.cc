@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -68,6 +70,22 @@ TEST(Domain, PanicInExecuteBecomesFaultError) {
   EXPECT_EQ(result.error(), CallError::kFault);
   EXPECT_EQ(d.state(), DomainState::kFailed);
   EXPECT_EQ(d.stats().faults, 1u);
+}
+
+// Any exception, not only util::PanicError, is a fault of the domain it
+// escapes: caught at the entry point, and recovery brings the domain back.
+TEST(Domain, NonPanicExceptionInExecuteBecomesFaultError) {
+  Domain d(3, "throws");
+  auto result = d.Execute([]() -> int { throw std::runtime_error("bug"); });
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error(), CallError::kFault);
+  EXPECT_EQ(d.state(), DomainState::kFailed);
+  EXPECT_EQ(d.stats().faults, 1u);
+  EXPECT_EQ(ScopedDomain::Current(), kRootDomain);
+
+  EXPECT_TRUE(d.Recover());
+  EXPECT_EQ(d.state(), DomainState::kRunning);
+  EXPECT_TRUE(d.Execute([] { return 1; }).ok());
 }
 
 TEST(Domain, FailedDomainRefusesEntryUntilRecovered) {
@@ -167,6 +185,17 @@ TEST(Domain, PanicInRecoveryFunctionIsContained) {
   EXPECT_EQ(d.state(), DomainState::kRunning);
   EXPECT_EQ(d.stats().recoveries, 1u);
   EXPECT_TRUE(d.Execute([] { return 1; }).ok());
+}
+
+TEST(Domain, BadAllocInRecoveryFunctionIsContained) {
+  Domain d(8, "svc");
+  d.SetRecovery([](Domain&) { throw std::bad_alloc(); });
+  (void)d.Execute([]() -> int { util::Panic("crash"); });
+
+  EXPECT_FALSE(d.Recover());
+  EXPECT_EQ(d.state(), DomainState::kFailed);
+  EXPECT_EQ(d.stats().recovery_panics, 1u);
+  EXPECT_EQ(d.stats().recoveries, 0u);
 }
 
 TEST(DomainManager, RecoverAllFailedContainsRecoveryPanics) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,6 +128,29 @@ TEST(RRef, PanicDuringCallReturnsFaultAndFailsDomain) {
   auto blocked = rref.Call([](Counter& c) { return c.value; });
   ASSERT_FALSE(blocked.ok());
   EXPECT_EQ(blocked.error(), CallError::kDomainFailed);
+}
+
+// A non-panic exception is the same fault as a panic: kFault to the caller,
+// the domain Failed, and recovery makes it transparent.
+TEST(RRef, NonPanicExceptionDuringCallReturnsFault) {
+  DomainManager mgr;
+  Domain& d = mgr.Create("svc");
+  RRef<Counter> published = d.Export(Counter{});
+  d.SetRecovery([&published](Domain& self) {
+    published = self.Export(Counter{});
+  });
+
+  auto r = published.Call(
+      [](Counter&) -> int { throw std::runtime_error("operator bug"); });
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), CallError::kFault);
+  EXPECT_EQ(d.state(), DomainState::kFailed);
+  EXPECT_EQ(ScopedDomain::Current(), kRootDomain) << "stack unwound to entry";
+
+  ASSERT_TRUE(d.Recover());
+  auto after = published.Call([](Counter& c) { return c.Increment(); });
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value(), 1) << "fresh state after recovery";
 }
 
 TEST(RRef, TransparentRecoveryViaManager) {
