@@ -45,8 +45,6 @@ int RunStormPhase(util::BenchReport& report) {
   net::RuntimeConfig cfg;
   cfg.workers = 4;
   cfg.queue_depth = 32;
-  cfg.supervision.max_recovery_attempts = 8;
-  cfg.supervision.watchdog_period_ms = 5;
   std::vector<net::StageSpec> spec;
   spec.push_back({"null", [](std::size_t) {
                     return std::make_unique<net::NullFilter>();

@@ -79,12 +79,11 @@ struct StageImage {
 };
 
 // What a quarantined stage does to traffic. Chosen per stage: a firewall
-// should fail closed (kFailFast or kDrop), a telemetry tap can be bypassed
+// should fail closed (kDrop), a telemetry tap can be bypassed
 // (kPassthrough).
 enum class DegradePolicy : std::uint8_t {
   kDrop,         // the batch is dropped; Run() returns Ok(empty)
   kPassthrough,  // the batch bypasses the dead stage
-  kFailFast,     // Run() returns CallError::kQuarantined to the caller
 };
 
 inline std::string_view DegradePolicyName(DegradePolicy p) {
@@ -93,8 +92,6 @@ inline std::string_view DegradePolicyName(DegradePolicy p) {
       return "drop";
     case DegradePolicy::kPassthrough:
       return "passthrough";
-    case DegradePolicy::kFailFast:
-      return "fail-fast";
   }
   return "unknown";
 }
@@ -109,23 +106,11 @@ struct StageHealth {
   std::uint64_t recovery_panics = 0;   // recovery fns that panicked
   std::uint64_t quarantine_drop_pkts = 0;  // packets dropped by kDrop
   std::uint64_t passthrough_batches = 0;   // batches bypassing (kPassthrough)
-  std::uint64_t failfast_batches = 0;      // batches rejected (kFailFast)
   // Recovery attempts since the last batch that made it through this stage.
   // This is the crash-loop detector: a transient fault resets it on the
   // first good batch, a deterministic fault only grows it.
   std::size_t attempts_since_success = 0;
   util::Samples mttr_cycles;  // fault observation -> first good batch
-  // Quarantine probation. A quarantined stage counts dispatched batches
-  // down through `cooldown_left`; at zero the supervisor's ProbeQuarantined
-  // rebuilds the stage in a fresh domain and marks it probing. The first
-  // batch through decides: success un-quarantines, a fault re-quarantines
-  // with the cool-down doubled.
-  bool probing = false;            // next batch through is the probe
-  std::uint64_t cooldown = 0;      // current cool-down budget (batches)
-  std::uint64_t cooldown_left = 0; // batches until probe-eligible
-  std::uint64_t probes = 0;        // probe batches granted
-  std::uint64_t unquarantines = 0; // probes that brought the stage back
-  std::uint64_t requarantines = 0; // probes that failed (cool-down doubled)
 };
 
 // Direct-call pipeline (the NetBricks baseline).
@@ -193,8 +178,8 @@ class IsolatedPipeline {
   // stage indices 0..length()-1 in order, split into contiguous runs — the
   // output shape of net::ResolveSchedule. Call after the AddStage calls and
   // before traffic: fused members are rebuilt from their factories (operator
-  // state does not survive re-grouping), and no member may be quarantined,
-  // probing, or Failed. Groups that match the current shape are reused
+  // state does not survive re-grouping), and no member may be quarantined
+  // or Failed. Groups that match the current shape are reused
   // untouched; superseded domains are retired.
   void ApplySchedule(const std::vector<std::vector<std::size_t>>& partition);
 
@@ -223,15 +208,6 @@ class IsolatedPipeline {
   // domain last entered. A quarantined stage (always a singleton group)
   // applies its DegradePolicy instead of being invoked.
   util::Result<PacketBatch, sfi::CallError> Run(PacketBatch batch) {
-    // Probation cool-downs are dispatch-driven and tick for *every*
-    // quarantined stage, up front, exactly once per batch — a kDrop or
-    // kFailFast stage ending the walk early must not stall the clocks of
-    // quarantined stages behind it (they would never become probe-eligible).
-    for (auto& mp : members_) {
-      if (mp->health.quarantined && mp->health.cooldown_left > 0) {
-        mp->health.cooldown_left--;
-      }
-    }
     for (auto& gp : groups_) {
       Group& group = *gp;
       Member& head = *group.members.front();
@@ -247,9 +223,6 @@ class IsolatedPipeline {
             // Batch destroyed here, on the calling thread (which owns the
             // buffers' pool in the Runtime arrangement).
             return PacketBatch();
-          case DegradePolicy::kFailFast:
-            head.health.failfast_batches++;
-            return util::Err(sfi::CallError::kQuarantined);
         }
       }
       auto result = group.rref.Call(
@@ -281,41 +254,11 @@ class IsolatedPipeline {
             culprit.fault_since = util::CycleEnd();
           }
         }
-        if (culprit.health.probing) {
-          // The probe batch faulted: back into quarantine, cool-down
-          // doubled, so a deterministic crasher probes ever more rarely.
-          // Clamped from below to the configured initial cool-down: a stage
-          // quarantined before SetProbation armed still has cooldown 0, and
-          // 0 * 2 == 0 would otherwise pin it probe-eligible on every
-          // supervisor pass (a probe storm).
-          culprit.health.probing = false;
-          culprit.health.requarantines++;
-          culprit.health.cooldown = std::clamp<std::uint64_t>(
-              culprit.health.cooldown * 2, probation_cooldown_,
-              std::max(probation_cooldown_, kProbationCooldownMax));
-          Quarantine(culprit);
-          if (probe_observer_) {
-            probe_observer_(false);
-          }
-        }
         return util::Err(result.error());
       }
       // The whole group ran: every member saw the batch.
       for (Member* mp : group.members) {
         Member& member = *mp;
-        if (member.health.probing) {
-          // Probe survived: the stage is back for good (until it
-          // crash-loops again), and the cool-down resets to its configured
-          // initial value.
-          member.health.probing = false;
-          member.health.unquarantines++;
-          member.health.cooldown = probation_cooldown_;
-          member.health.attempts_since_success = 0;
-          LINSYS_TRACE_INSTANT("runtime.unquarantine");
-          if (probe_observer_) {
-            probe_observer_(true);
-          }
-        }
         if (member.fault_since != 0) {
           // First batch through after a fault: the incident is over.
           member.health.mttr_cycles.Add(
@@ -399,77 +342,6 @@ class IsolatedPipeline {
       n += mp->health.quarantine_drop_pkts;
     }
     return n;
-  }
-
-  // Cap on a doubled probation cool-down (never below the initial one).
-  static constexpr std::uint64_t kProbationCooldownMax = 1 << 20;
-
-  // Arms quarantine probation: after `cooldown_batches` degraded batches, a
-  // quarantined stage gets one probe batch through a freshly built domain;
-  // failure re-quarantines with the cool-down doubled (capped at
-  // kProbationCooldownMax). 0 disables probation (quarantine stays
-  // terminal).
-  void SetProbation(std::uint64_t cooldown_batches) {
-    probation_cooldown_ = cooldown_batches;
-    // Armed mid-quarantine: a stage quarantined while probation was disabled
-    // carries a zero cool-down base. Left at zero it is probe-eligible on
-    // the very next supervisor pass — and a failed probe doubling from zero
-    // would keep it there (probe storm). Seed it with the freshly configured
-    // initial budget, as if it had been quarantined under probation.
-    if (cooldown_batches > 0) {
-      for (auto& mp : members_) {
-        if (mp->health.quarantined && mp->health.cooldown == 0) {
-          mp->health.cooldown = cooldown_batches;
-          mp->health.cooldown_left = cooldown_batches;
-        }
-      }
-    }
-  }
-
-  // Observer for probe outcomes (true = un-quarantined, false =
-  // re-quarantined), called from Run() on the pipeline's calling thread.
-  // net::Runtime wires this to its registry counters.
-  void SetProbeObserver(std::function<void(bool)> observer) {
-    probe_observer_ = std::move(observer);
-  }
-
-  // Opens probation for every quarantined stage whose cool-down has
-  // elapsed: the retired domain is replaced by a freshly created one (Retire
-  // is terminal — probation is a new incarnation, not a resurrection), the
-  // operator is rebuilt from the factory, and the stage is released from
-  // quarantine in probing state so the next batch through decides its fate.
-  // A quarantined member is always a singleton group (split-on-fault), so
-  // the probe incarnation is a one-member group too; it stays singleton
-  // after a successful probe. Caller must serialize with Run() (the Runtime
-  // supervisor holds the worker mutex). Returns the number of probes opened.
-  std::size_t ProbeQuarantined() {
-    if (probation_cooldown_ == 0) {
-      return 0;
-    }
-    std::size_t opened = 0;
-    for (auto& gp : groups_) {
-      Group& group = *gp;
-      Member& member = *group.members.front();
-      if (!member.health.quarantined || member.health.probing ||
-          member.health.cooldown_left > 0) {
-        continue;
-      }
-      member.health.probes++;
-      group.domain = &mgr_->Create(member.health.name + "#p" +
-                                   std::to_string(member.health.probes));
-      group.rref = group.domain->Export(MakeOps(group));
-      Group* raw = &group;
-      group.domain->SetRecovery([raw](sfi::Domain& self) {
-        raw->rref = self.Export(MakeOps(*raw));
-      });
-      member.health.quarantined = false;
-      member.health.probing = true;
-      member.health.attempts_since_success = 0;
-      member.fault_since = 0;
-      LINSYS_TRACE_INSTANT("runtime.probe_open");
-      ++opened;
-    }
-    return opened;
   }
 
   // Serializes every stage's state into a StageImage vector — the
@@ -649,12 +521,6 @@ class IsolatedPipeline {
     }
     Group& group = *member.group;  // now a singleton holding `member`
     member.health.quarantined = true;
-    // Start (or restart) the probation clock; cooldown is the configured
-    // initial on first quarantine and the doubled value on re-quarantine.
-    if (member.health.cooldown == 0) {
-      member.health.cooldown = probation_cooldown_;
-    }
-    member.health.cooldown_left = member.health.cooldown;
     LINSYS_TRACE_INSTANT("runtime.quarantine");
     // Close the incident on the faulting flow's async track: the id comes
     // from the domain's fault capture, since quarantine runs on the
@@ -717,9 +583,7 @@ class IsolatedPipeline {
   // Member*; addresses must survive vector growth and regrouping.
   std::vector<std::unique_ptr<Member>> members_;  // flat, add order
   std::vector<std::unique_ptr<Group>> groups_;    // pipeline order
-  std::uint64_t probation_cooldown_ = 0;  // 0 = probation disabled
   std::uint64_t restore_mismatches_ = 0;
-  std::function<void(bool)> probe_observer_;
 };
 
 inline void IsolatedPipeline::AddStage(std::string stage_name,
@@ -751,7 +615,7 @@ inline void IsolatedPipeline::ApplySchedule(
   LINSYS_ASSERT(next == members_.size(),
                 "schedule must cover every stage exactly once");
   for (const auto& mp : members_) {
-    LINSYS_ASSERT(!mp->health.quarantined && !mp->health.probing &&
+    LINSYS_ASSERT(!mp->health.quarantined &&
                       mp->group->domain->state() == sfi::DomainState::kRunning,
                   "ApplySchedule needs a healthy pipeline (apply schedules "
                   "before traffic)");

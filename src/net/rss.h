@@ -162,7 +162,7 @@ class RssDispatcher {
   RssDispatcher(std::size_t workers, std::size_t queue_depth,
                 obs::Counter* worker_parks = nullptr,
                 obs::Counter* dispatch_waits = nullptr)
-      : seed_(0x5ca1ab1eULL), per_worker_steered_(workers) {
+      : seed_(0x5ca1ab1eULL) {
     LINSYS_ASSERT(workers > 0, "RSS needs at least one worker");
     LINSYS_ASSERT(queue_depth > 0, "RSS rings need a positive queue_depth");
     for (std::size_t i = 0; i < workers; ++i) {
@@ -225,7 +225,6 @@ class RssDispatcher {
       });
       if (published) {
         sub_batches_steered_.fetch_add(1, std::memory_order_relaxed);
-        per_worker_steered_[w].fetch_add(1, std::memory_order_relaxed);
         ++sent;
       } else {
         refused_sub_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -293,8 +292,6 @@ class RssDispatcher {
     }
   }
 
-  std::size_t worker_count() const { return rings_.size(); }
-
   // Number of Dispatch() calls — i.e. input batches steered.
   std::uint64_t batches_steered() const {
     return dispatch_calls_.load(std::memory_order_relaxed);
@@ -302,12 +299,6 @@ class RssDispatcher {
   // Total per-worker sub-batches published across all Dispatch() calls.
   std::uint64_t sub_batches_steered() const {
     return sub_batches_steered_.load(std::memory_order_relaxed);
-  }
-  // Sub-batches published to one specific worker.
-  std::uint64_t steered_to(std::size_t worker) const {
-    LINSYS_ASSERT(worker < per_worker_steered_.size(),
-                  "worker index out of range");
-    return per_worker_steered_[worker].load(std::memory_order_relaxed);
   }
   // Sub-batches refused by a closed ring, and the items those refusals
   // dropped. Nonzero only when Dispatch raced a Shutdown.
@@ -524,7 +515,6 @@ class RssDispatcher {
   // on each iteration.
   std::uint64_t seed_;
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::vector<std::atomic<std::uint64_t>> per_worker_steered_;
   // Written by every Dispatch: kept off the line above (and, through the
   // class's alignment, off whatever the owner places after the dispatcher).
   alignas(64) std::atomic<std::uint64_t> dispatch_calls_{0};

@@ -20,8 +20,10 @@ namespace {
 constexpr std::chrono::microseconds kRecoveryBackoffInitial{50};
 constexpr int kRecoveryBackoffFactor = 2;
 constexpr std::chrono::microseconds kRecoveryBackoffMax{2000};
-// Backup replicas behind the runtime snapshot (ckpt::ReplicatedState).
-constexpr std::size_t kCkptReplicas = 1;
+// Supervisor wake cadence, and so the watchdog's resolution: a worker busy
+// on one sub-batch across a whole period without a heartbeat is flagged
+// stuck. A fault wakes the supervisor at once, not at the next period.
+constexpr std::chrono::milliseconds kWatchdogPeriod{25};
 // CheckpointLive gives every worker this long to reach a batch boundary and
 // deposit its capture before the epoch is abandoned (counted in
 // runtime.ckpt_epoch_failures_total; no state is installed).
@@ -63,10 +65,6 @@ std::string RuntimeStats::Summary() const {
     }
     s += "\n  ckpt_pause_cycles: " + ckpt_pause_cycles.Summary();
   }
-  if (unquarantines > 0 || requarantines > 0) {
-    s += " unquarantines=" + std::to_string(unquarantines);
-    s += " requarantines=" + std::to_string(requarantines);
-  }
   s += " | load: " + packets_per_worker.Summary();
   s += "\n  batch_cycles: " + batch_cycles.Summary();
   s += "\n  delivery_latency_cycles: " + delivery_latency_cycles.Summary();
@@ -87,12 +85,6 @@ std::string RuntimeStats::Summary() const {
     s += " quarantined=" + std::to_string(st.quarantined_replicas);
     s += " qdrop_pkts=" + std::to_string(st.quarantine_drop_pkts);
     s += " passthrough=" + std::to_string(st.passthrough_batches);
-    s += " failfast=" + std::to_string(st.failfast_batches);
-    if (st.probes > 0) {
-      s += " probes=" + std::to_string(st.probes);
-      s += " unquarantines=" + std::to_string(st.unquarantines);
-      s += " requarantines=" + std::to_string(st.requarantines);
-    }
     s += " | mttr_cycles: " + st.mttr_cycles.Summary();
   }
   return s;
@@ -161,14 +153,11 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
       registry_.GetCounter("runtime.failover_failures_total");
   telemetry_.ckpt_restore_mismatches =
       registry_.GetCounter("runtime.ckpt_restore_mismatches_total");
-  telemetry_.unquarantines =
-      registry_.GetCounter("runtime.unquarantines_total", shards);
-  telemetry_.requarantines =
-      registry_.GetCounter("runtime.requarantines_total", shards);
   // Always-on (like batch_cycles): the pause a checkpoint epoch imposes on
   // each worker is the headline robustness number, and epochs are rare.
   telemetry_.ckpt_pause_cycles =
       registry_.GetHistogram("runtime.ckpt_pause_cycles", shards);
+  // Per completed failover: restoring the victim's slice of the snapshot.
   telemetry_.failover_resync_cycles =
       registry_.GetHistogram("runtime.failover_resync_cycles");
   // Imbalance is computed from live ring depths at scrape time.
@@ -211,18 +200,6 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
     }
     if (config_.schedule.fused()) {
       worker.isolated.ApplySchedule(partition);
-    }
-    if (config_.supervision.probation_cooldown_batches > 0) {
-      worker.isolated.SetProbation(config_.supervision.probation_cooldown_batches);
-      // Probe outcomes land in per-worker counter shards; the per-stage
-      // split comes from StageHealth in Stats().
-      worker.isolated.SetProbeObserver([this, w](bool ok) {
-        if (ok) {
-          telemetry_.unquarantines->Inc(w);
-        } else {
-          telemetry_.requarantines->Inc(w);
-        }
-      });
     }
   }
 }
@@ -493,8 +470,7 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   if (!result.ok()) {
     // The in-flight batch was reclaimed during unwinding (still on this
     // thread, still this worker's pool). kFault = a fresh panic, worth
-    // waking the supervisor; kDomainFailed = still waiting on recovery;
-    // kQuarantined = a fail-fast stage, nothing left to recover.
+    // waking the supervisor; kDomainFailed = still waiting on recovery.
     telemetry_.drops->Add(w.index, n);
     if (result.error() == sfi::CallError::kFault) {
       telemetry_.faults->Inc(w.index);
@@ -527,8 +503,8 @@ bool Runtime::RecoveryPass() {
     // The worker's pipeline mutex serializes recovery against Run, so
     // rrefs are never replaced under a caller's feet.
     std::lock_guard<std::mutex> wlock(w->mu);
-    const std::size_t recovered = w->isolated.RecoverFailedStages(
-        config_.supervision.max_recovery_attempts);
+    const std::size_t recovered =
+        w->isolated.RecoverFailedStages(kMaxRecoveryAttempts);
     if (recovered > 0) {
       telemetry_.recoveries->Add(w->index, recovered);
     }
@@ -546,8 +522,6 @@ void Runtime::SupervisorMain() {
   obs::Profiler::Global().RegisterThisThread("supervisor");
   util::FaultInjector::SetThreadTag("net.supervisor");
   using Clock = std::chrono::steady_clock;
-  const SupervisionConfig& sup = config_.supervision;
-  const auto period = std::chrono::milliseconds(sup.watchdog_period_ms);
 
   std::vector<std::uint64_t> last_beat(workers_.size(), 0);
   std::vector<bool> flagged(workers_.size(), false);
@@ -559,11 +533,11 @@ void Runtime::SupervisorMain() {
   while (true) {
     // Sleep until the watchdog period elapses, a retry comes due, or a
     // worker reports a fresh fault.
-    Clock::duration wait = period;
+    Clock::duration wait = kWatchdogPeriod;
     if (recover_requested) {
       const auto now = Clock::now();
       wait = next_retry > now
-                 ? std::min<Clock::duration>(period, next_retry - now)
+                 ? std::min<Clock::duration>(kWatchdogPeriod, next_retry - now)
                  : Clock::duration::zero();
     }
     sup_cv_.wait_for(lock, wait,
@@ -614,16 +588,6 @@ void Runtime::SupervisorMain() {
         flagged[i] = false;
       }
       last_beat[i] = beat;
-    }
-
-    // Quarantine probation rides the supervisor cadence: a quarantined
-    // stage whose cool-down has elapsed gets a fresh domain and one probe
-    // batch; the probe's outcome (in Pipeline::Run) settles it.
-    if (sup.probation_cooldown_batches > 0) {
-      for (auto& w : workers_) {
-        std::lock_guard<std::mutex> wlock(w->mu);
-        (void)w->isolated.ProbeQuarantined();
-      }
     }
 
     lock.lock();
@@ -735,26 +699,9 @@ bool Runtime::CheckpointLive() {
             [](const WorkerCkptImage& a, const WorkerCkptImage& b) {
               return a.index < b.index;
             });
-  RuntimeCkptImage image;
-  image.epoch = ckpt_epoch_seq_ + 1;
-  image.workers = std::move(images);
-  try {
-    if (!ckpt_state_) {
-      ckpt_state_ = std::make_unique<ckpt::ReplicatedState<RuntimeCkptImage>>(
-          std::move(image), kCkptReplicas);
-    } else {
-      ckpt_state_->Apply(
-          [&image](RuntimeCkptImage& s) { s = std::move(image); });
-    }
-  } catch (const util::PanicError&) {
-    // An injected ckpt.replica_restore fault mid-replication. The primary
-    // may already hold the new image but a replica is stale — exactly the
-    // state Failover's promote-then-resync is defined over, so nothing to
-    // unwind; the epoch just doesn't count as installed.
-    telemetry_.ckpt_epoch_failures->Inc();
-    return false;
-  }
-  ++ckpt_epoch_seq_;
+  // Install: the harvested images move into the snapshot slot, replacing
+  // the previous epoch's.
+  ckpt_state_ = RuntimeCkptImage{++ckpt_epoch_seq_, std::move(images)};
   telemetry_.ckpt_epochs->Inc();
   if (obs::MetricsArmed()) {
     ckpt::CkptObs::Get().runtime_epoch_cycles->Record(util::CycleEnd() - t0);
@@ -766,7 +713,6 @@ bool Runtime::FailoverWorker(std::size_t victim) {
   LINSYS_ASSERT(config_.ckpt.enabled,
                 "FailoverWorker needs RuntimeConfig::ckpt.enabled");
   LINSYS_ASSERT(victim < workers_.size(), "victim out of range");
-  LINSYS_ASSERT(workers_.size() > 1, "failover needs a surviving worker");
   std::lock_guard<std::mutex> driver(ckpt_driver_mu_);
   if (!ckpt_state_) {
     telemetry_.failover_failures->Inc();  // nothing to fail over to yet
@@ -774,24 +720,13 @@ bool Runtime::FailoverWorker(std::size_t victim) {
   }
   LINSYS_TRACE_SPAN("runtime.failover");
   const std::uint64_t t0 = util::CycleStart();
-  try {
-    // Promote replica 0 and resync the rest from it. The injectable
-    // ckpt.failover_resync point fires inside; a panic there is contained
-    // here — ReplicatedState holds valid snapshots on both sides of the
-    // swap, so the failover is simply refused and retryable.
-    ckpt_state_->Failover(0);
-  } catch (const util::PanicError&) {
-    telemetry_.failover_failures->Inc();
-    LINSYS_TRACE_INSTANT_ARG("runtime.failover_fault", victim);
-    return false;
-  }
-  // Restore the victim's stage state from its slice of the promoted image
-  // (the "resync" half: the replica becomes the worker's live state). Its
-  // flows are pinned to it, so its queued sub-batches stay queued and replay
-  // on top of the restored state, as a batch popped after a checkpoint
-  // capture replays on the captured one.
+  // Restore the victim's stage state from its slice of the snapshot (the
+  // resync: the snapshot becomes the worker's live state). Its flows are
+  // pinned to it, so its queued sub-batches stay queued and replay on top of
+  // the restored state, as a batch popped after a checkpoint capture
+  // replays on the captured one.
   Worker& v = *workers_[victim];
-  for (const WorkerCkptImage& wi : ckpt_state_->primary().workers) {
+  for (const WorkerCkptImage& wi : ckpt_state_->workers) {
     if (wi.index == victim) {
       std::lock_guard<std::mutex> lock(v.mu);
       const std::uint64_t mismatches_before = v.isolated.restore_mismatches();
@@ -818,10 +753,7 @@ bool Runtime::FailoverWorker(std::size_t victim) {
 
 RuntimeCkptImage Runtime::CheckpointImageCopy() {
   std::lock_guard<std::mutex> driver(ckpt_driver_mu_);
-  if (!ckpt_state_) {
-    return RuntimeCkptImage{};
-  }
-  return ckpt_state_->primary();
+  return ckpt_state_.value_or(RuntimeCkptImage{});
 }
 
 RuntimeStats Runtime::Stats() const {
@@ -838,8 +770,6 @@ RuntimeStats Runtime::Stats() const {
   s.failovers = telemetry_.failovers->Value();
   s.failover_failures = telemetry_.failover_failures->Value();
   s.ckpt_restore_mismatches = telemetry_.ckpt_restore_mismatches->Value();
-  s.unquarantines = telemetry_.unquarantines->Value();
-  s.requarantines = telemetry_.requarantines->Value();
   s.ckpt_pause_cycles = telemetry_.ckpt_pause_cycles->Snapshot();
   s.failover_resync_cycles = telemetry_.failover_resync_cycles->Snapshot();
   // One consistent histogram snapshot for the whole stats call: buckets are
@@ -886,10 +816,6 @@ RuntimeStats Runtime::Stats() const {
         st.recovery_panics += h.recovery_panics;
         st.quarantine_drop_pkts += h.quarantine_drop_pkts;
         st.passthrough_batches += h.passthrough_batches;
-        st.failfast_batches += h.failfast_batches;
-        st.probes += h.probes;
-        st.unquarantines += h.unquarantines;
-        st.requarantines += h.requarantines;
         for (double v : h.mttr_cycles.values()) {
           st.mttr_cycles.Add(v);
         }

@@ -23,11 +23,11 @@
 //   * A supervisor thread recovers faulted stage domains under a retry
 //     policy with exponential backoff; a panic inside a recovery function is
 //     contained and re-queued; a stage that accumulates
-//     SupervisionConfig::max_recovery_attempts failed recoveries without an
-//     intervening good batch is *quarantined* and its per-stage
-//     DegradePolicy takes over (drop / passthrough / fail-fast). The
-//     supervisor doubles as a watchdog: a worker stuck inside one batch for
-//     longer than a watchdog period is flagged in telemetry.
+//     Runtime::kMaxRecoveryAttempts recovery attempts without an intervening
+//     good batch is *quarantined* for good and its per-stage DegradePolicy
+//     takes over (drop / passthrough). The supervisor doubles as a
+//     watchdog: a worker stuck inside one batch for longer than a watchdog
+//     period (25 ms) is flagged in telemetry.
 //
 // Telemetry is backed by a per-Runtime obs::Registry: every worker counter
 // (packets, batches, drops, faults, recoveries, stalls) is a registry
@@ -35,7 +35,7 @@
 // and per-sub-batch pipeline latency feeds a cycle Histogram — so
 // RuntimeStats is a *consistent* scrape (counters monotone across scrapes,
 // histogram buckets never torn; see src/obs/metrics.h) and the same data
-// exports as Prometheus text or JSON via ScrapePrometheus()/ScrapeJson().
+// exports as Prometheus text or JSON via registry().Scrape().
 // Per-stage health (faults, recoveries, quarantine counters, MTTR cycle
 // samples) stays under the worker mutex and is folded into the same
 // snapshot — bench_parallel uses the load distribution, bench_recovery the
@@ -52,12 +52,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "src/ckpt/replicate.h"
 #include "src/net/batch.h"
 #include "src/net/headers.h"
 #include "src/net/mempool.h"
@@ -117,23 +117,6 @@ struct StageSpec {
   DegradePolicy degrade = DegradePolicy::kDrop;
 };
 
-// Supervisor policy knobs. The defaults favour fast recovery with a bounded
-// crash-loop budget; tests tighten them for speed.
-struct SupervisionConfig {
-  // Recovery attempts a stage may accumulate without an intervening
-  // successful batch before it is quarantined. 0 = never quarantine.
-  std::size_t max_recovery_attempts = 8;
-  // Supervisor wake cadence; also the watchdog resolution — a worker busy on
-  // one batch across a full period without a heartbeat is flagged stuck.
-  std::uint32_t watchdog_period_ms = 25;
-  // Quarantine probation: after this many degraded batches through a
-  // quarantined stage, the supervisor grants one probe batch via a freshly
-  // built domain — success un-quarantines, failure re-quarantines with the
-  // cool-down doubled (capped at IsolatedPipeline::kProbationCooldownMax).
-  // 0 = quarantine stays terminal (the pre-probation behaviour).
-  std::uint64_t probation_cooldown_batches = 0;
-};
-
 // Live checkpointing & failover (Runtime::CheckpointLive/FailoverWorker).
 struct CkptConfig {
   bool enabled = false;
@@ -151,7 +134,6 @@ struct RuntimeConfig {
   // Default: interpreted, one domain per stage. Resolved once against the
   // spec's length and applied to every worker's replica before traffic.
   PipelineSchedule schedule;
-  SupervisionConfig supervision;
   CkptConfig ckpt;
   // Live ops endpoint (obs::OpsServer): started with the runtime when
   // enabled, serving /metrics, /metrics/delta, /trace, /healthz from this
@@ -168,9 +150,9 @@ struct WorkerCkptImage {
   LINSYS_CHECKPOINT_FIELDS(index, stages)
 };
 
-// The crash-consistent runtime snapshot CheckpointLive installs into a
-// ckpt::ReplicatedState: every worker's stage state, captured at a per-flow
-// batch boundary within one quiesce epoch.
+// The crash-consistent runtime snapshot CheckpointLive installs: every
+// worker's stage state, captured at a per-flow batch boundary within one
+// quiesce epoch.
 struct RuntimeCkptImage {
   std::uint64_t epoch = 0;
   std::vector<WorkerCkptImage> workers;
@@ -201,11 +183,6 @@ struct StageTelemetry {
   std::uint64_t recovery_panics = 0;
   std::uint64_t quarantine_drop_pkts = 0;
   std::uint64_t passthrough_batches = 0;
-  std::uint64_t failfast_batches = 0;
-  // Quarantine probation (SupervisionConfig::probation_cooldown_batches).
-  std::uint64_t probes = 0;          // probe batches granted
-  std::uint64_t unquarantines = 0;   // probes that brought a replica back
-  std::uint64_t requarantines = 0;   // probes that failed
   util::Samples mttr_cycles;  // pooled across replicas
 };
 
@@ -226,16 +203,15 @@ struct RuntimeStats {
   std::uint64_t dispatch_waits = 0;
   // Live checkpointing & failover.
   std::uint64_t ckpt_epochs = 0;          // snapshots installed
-  std::uint64_t ckpt_epoch_failures = 0;  // epochs abandoned (timeout/fault)
+  // Epochs abandoned: quiesce timed out, or the runtime was not accepting.
+  std::uint64_t ckpt_epoch_failures = 0;
   std::uint64_t failovers = 0;            // completed worker failovers
-  std::uint64_t failover_failures = 0;    // failovers refused by a fault
+  std::uint64_t failover_failures = 0;    // failovers with no snapshot yet
   // Stage images a restore refused because they named a stage the pipeline
   // does not have (checkpoint taken under a different pipeline shape).
   std::uint64_t ckpt_restore_mismatches = 0;
-  std::uint64_t unquarantines = 0;        // probation probes that succeeded
-  std::uint64_t requarantines = 0;        // probation probes that failed
   obs::HistogramSnapshot ckpt_pause_cycles;      // per-worker quiesce pause
-  obs::HistogramSnapshot failover_resync_cycles; // per FailoverWorker call
+  obs::HistogramSnapshot failover_resync_cycles; // per completed failover
   util::Samples packets_per_worker;    // load distribution across shards
   // Pipeline latency per sub-batch, pooled over workers (consistent
   // histogram snapshot: sum(buckets) == count even while workers run).
@@ -262,6 +238,10 @@ struct RuntimeStats {
 
 class Runtime {
  public:
+  // Recovery attempts a stage may accumulate without an intervening good
+  // batch before the supervisor quarantines it for good.
+  static constexpr std::size_t kMaxRecoveryAttempts = 8;
+
   Runtime(RuntimeConfig config, std::vector<StageSpec> spec);
   ~Runtime();
 
@@ -330,32 +310,29 @@ class Runtime {
   // CheckpointLive opens a quiesce epoch: every worker, at its next per-flow
   // batch boundary (between FlowBatches — never mid-batch), captures its
   // stage state and deposits it; once all workers have deposited, the
-  // combined image is installed into the replicated runtime snapshot.
-  // Dispatch keeps accepting throughout — queues absorb each worker's
-  // capture pause (measured per worker in runtime.ckpt_pause_cycles, flow
-  // exemplars attached). Returns false (installing nothing, with
-  // runtime.ckpt_epoch_failures_total counting it) when the quiesce times
-  // out, a replica restore faults (injected ckpt.replica_restore), or the
-  // runtime is not accepting. Serialized with FailoverWorker; safe to call
-  // from any non-worker thread.
+  // combined image is moved into the runtime's snapshot slot, replacing the
+  // previous one. Dispatch keeps accepting throughout — queues absorb each
+  // worker's capture pause (measured per worker in
+  // runtime.ckpt_pause_cycles, flow exemplars attached). Returns false
+  // (installing nothing, with runtime.ckpt_epoch_failures_total counting it)
+  // when the quiesce times out or the runtime is not accepting. Serialized
+  // with FailoverWorker; safe to call from any non-worker thread.
   bool CheckpointLive();
 
-  // Fails worker `victim` over to the replicated snapshot: promotes a
-  // replica (ckpt::ReplicatedState::Failover — the injectable
-  // ckpt.failover_resync point fires inside) and restores the victim's stage
-  // state from the promoted image. The victim thread keeps running —
-  // "failure" here is the state-loss event, and the restored replica state
-  // is the resync. Flows stay pinned: the victim's queued sub-batches stay
-  // queued and replay on top of the restored state, as a batch popped after
-  // a checkpoint capture does. Exactly-once holds across the event: every
-  // dispatched item is processed, still queued, or counted dropped. Returns
-  // false — counted in runtime.failover_failures_total, with no Runtime
-  // state mutated — when no snapshot exists yet or the resync faults
-  // (retryable). Requires ckpt.enabled and at least 2 workers.
+  // Fails worker `victim` over to the snapshot: restores the victim's stage
+  // state from its slice of the last installed image. The victim thread
+  // keeps running — "failure" here is the state-loss event, and the
+  // restore is the resync. Flows stay pinned: the victim's queued
+  // sub-batches stay queued and replay on top of the restored state, as a
+  // batch popped after a checkpoint capture does. Exactly-once holds across
+  // the event: every dispatched item is processed, still queued, or counted
+  // dropped. Returns false — counted in runtime.failover_failures_total,
+  // with no Runtime state mutated — when no snapshot exists yet. Requires
+  // ckpt.enabled.
   bool FailoverWorker(std::size_t victim);
 
-  // Copy of the current primary snapshot (empty image before the first
-  // successful CheckpointLive) — test/diagnostic introspection.
+  // Copy of the current snapshot (empty image before the first successful
+  // CheckpointLive) — test/diagnostic introspection.
   RuntimeCkptImage CheckpointImageCopy();
 
   RuntimeStats Stats() const;
@@ -365,7 +342,6 @@ class Runtime {
   obs::Registry& registry() { return registry_; }
 
   std::string ScrapePrometheus() const { return registry_.Scrape().ToPrometheus(); }
-  std::string ScrapeJson() const { return registry_.Scrape().ToJson(); }
 
  private:
   // Every materialized frame is kFrameLen bytes (the 64 B Ethernet
@@ -419,8 +395,6 @@ class Runtime {
     obs::Counter* failovers = nullptr;
     obs::Counter* failover_failures = nullptr;
     obs::Counter* ckpt_restore_mismatches = nullptr;
-    obs::Counter* unquarantines = nullptr;
-    obs::Counter* requarantines = nullptr;
     obs::Counter* worker_parks = nullptr;    // park path only, per worker
     obs::Counter* dispatch_waits = nullptr;  // park path only
     obs::Gauge* queue_depth = nullptr;
@@ -502,9 +476,9 @@ class Runtime {
   std::vector<std::pair<std::uint64_t, WorkerCkptImage>> ckpt_pending_;
   std::atomic<std::uint64_t> ckpt_gen_{0};
   std::uint64_t ckpt_epoch_seq_ = 0;  // under ckpt_driver_mu_
-  // The replicated snapshot; created on the first successful epoch. Guarded
-  // by ckpt_driver_mu_.
-  std::unique_ptr<ckpt::ReplicatedState<RuntimeCkptImage>> ckpt_state_;
+  // The last installed snapshot; empty until the first successful epoch.
+  // Guarded by ckpt_driver_mu_.
+  std::optional<RuntimeCkptImage> ckpt_state_;
 };
 
 }  // namespace net

@@ -28,8 +28,6 @@ std::string_view CallErrorName(CallError e) {
       return "access-denied";
     case CallError::kFault:
       return "fault";
-    case CallError::kQuarantined:
-      return "quarantined";
   }
   return "unknown";
 }

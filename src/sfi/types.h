@@ -18,8 +18,6 @@ enum class CallError : std::uint8_t {
   kDomainFailed,  // the target domain is in the Failed state (pre-recovery)
   kAccessDenied,  // the owner's policy rejected this caller/method pair
   kFault,         // the callee panicked during this invocation
-  kQuarantined,   // the target was quarantined after repeated failed
-                  // recoveries (kFailFast degradation; see net/pipeline.h)
 };
 
 std::string_view CallErrorName(CallError e);

@@ -2,10 +2,10 @@
 // (Runtime::CheckpointLive / FailoverWorker): epoch quiesce completes on an
 // idle runtime, a checkpoint + forced failover under live traffic loses
 // zero packets (the exactly-once invariant), failover restores stage state
-// from the snapshot and replays the victim's queued flows on it,
-// degraded (quarantined) pipelines round-trip, and the injected
-// ckpt.failover_resync / ckpt.replica_restore faults refuse the operation
-// cleanly instead of losing state.
+// from the snapshot and replays the victim's queued flows on it, a
+// one-worker runtime fails over onto its own snapshot, degraded
+// (quarantined) pipelines round-trip, and neither an epoch nor a failover
+// re-serializes the installed image.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -17,12 +17,14 @@
 #include <thread>
 #include <vector>
 
+#include "src/ckpt/obs.h"
 #include "src/ckpt/snapshot.h"
 #include "src/ckpt/traits.h"
 #include "src/net/operators/nat.h"
 #include "src/net/operators/null_filter.h"
 #include "src/net/pktgen.h"
 #include "src/net/runtime.h"
+#include "src/obs/metrics.h"
 #include "src/util/fault_injector.h"
 
 namespace net {
@@ -48,7 +50,6 @@ RuntimeConfig CkptConfigFor(std::size_t workers) {
   RuntimeConfig cfg;
   cfg.workers = workers;
   cfg.ckpt.enabled = true;
-  cfg.supervision.watchdog_period_ms = 2;
   return cfg;
 }
 
@@ -145,6 +146,30 @@ NatRewrite::State DecodeNatImage(const StageImage& img) {
   return ckpt::Traits<NatRewrite::State>::Load(reader);
 }
 
+// `n` flows; flow i has destination port `dst_base` + i, which NAT leaves
+// alone, so a delivery names its flow.
+std::vector<FiveTuple> FlowsFrom(std::uint16_t dst_base, std::uint16_t n) {
+  std::vector<FiveTuple> flows;
+  for (std::uint16_t i = 0; i < n; ++i) {
+    FiveTuple t;
+    t.src_ip = 0x0a000002;
+    t.dst_ip = 0x0a000003;
+    t.src_port = static_cast<std::uint16_t>(1000 + i);
+    t.dst_port = static_cast<std::uint16_t>(dst_base + i);
+    flows.push_back(t);
+  }
+  return flows;
+}
+
+// One descriptor per tuple, all stamped with sequence number `seq`.
+FlowBatch BatchOf(const std::vector<FiveTuple>& tuples, std::uint64_t seq) {
+  FlowBatch batch;
+  for (const FiveTuple& t : tuples) {
+    batch.Push(FlowWork{t, seq});
+  }
+  return batch;
+}
+
 // An idle runtime has every worker parked in a blocking Recv; the epoch's
 // empty-batch nudges must still walk each one to a batch boundary.
 TEST_F(CkptRuntimeTest, EpochCompletesOnIdleRuntime) {
@@ -201,7 +226,7 @@ TEST_F(CkptRuntimeTest, CheckpointAndFailoverUnderTrafficLoseNothing) {
     }
   }
   // Forced failover mid-traffic: worker 1 "loses" its state and is resynced
-  // from the replicated snapshot; its queued flows stay queued on it.
+  // from the snapshot; its queued flows stay queued on it.
   bool failed_over = false;
   for (int i = 0; i < 100 && !failed_over; ++i) {
     failed_over = rt.FailoverWorker(1);
@@ -305,26 +330,11 @@ TEST_F(CkptRuntimeTest, FailoverReplaysQueuedFlowsOnTheVictimsRestoredState) {
   Runtime rt(CkptConfigFor(2), spec);
   rt.Start();
 
-  std::vector<FiveTuple> flows;
-  for (std::uint16_t i = 0; i < 32; ++i) {
-    FiveTuple t;
-    t.src_ip = 0x0a000002;
-    t.dst_ip = 0x0a000003;
-    t.src_port = static_cast<std::uint16_t>(1000 + i);
-    t.dst_port = static_cast<std::uint16_t>(2000 + i);
-    flows.push_back(t);
-  }
-  auto batch_of = [](const std::vector<FiveTuple>& tuples, std::uint64_t seq) {
-    FlowBatch batch;
-    for (const FiveTuple& t : tuples) {
-      batch.Push(FlowWork{t, seq});
-    }
-    return batch;
-  };
+  const std::vector<FiveTuple> flows = FlowsFrom(2000, 32);
 
   // Seq 0: every flow once, then the snapshot captures their NAT ports.
   std::uint64_t dispatched = flows.size();
-  ASSERT_TRUE(rt.Dispatch(batch_of(flows, 0)));
+  ASSERT_TRUE(rt.Dispatch(BatchOf(flows, 0)));
   ASSERT_TRUE(DrainTo(rt, dispatched));
   ASSERT_TRUE(rt.CheckpointLive());
   const RuntimeCkptImage image = rt.CheckpointImageCopy();
@@ -345,7 +355,7 @@ TEST_F(CkptRuntimeTest, FailoverReplaysQueuedFlowsOnTheVictimsRestoredState) {
     std::lock_guard<std::mutex> lock(gate.mu);
     gate.hold = true;
   }
-  ASSERT_TRUE(rt.Dispatch(batch_of({victim_flows[0]}, 1)));
+  ASSERT_TRUE(rt.Dispatch(BatchOf({victim_flows[0]}, 1)));
   ++dispatched;
   bool entered = false;
   {
@@ -357,7 +367,7 @@ TEST_F(CkptRuntimeTest, FailoverReplaysQueuedFlowsOnTheVictimsRestoredState) {
   // held and Shutdown waiting on it.
   std::size_t queued = 0;
   for (const FiveTuple& t : flows) {
-    if (!(t == victim_flows[0]) && rt.Dispatch(batch_of({t}, 1))) {
+    if (!(t == victim_flows[0]) && rt.Dispatch(BatchOf({t}, 1))) {
       ++dispatched;
       ++queued;
     }
@@ -410,8 +420,6 @@ TEST_F(CkptRuntimeTest, QuarantinedStageRoundTripsDegraded) {
   FaultInjector::Global().Seed(11);
   FaultInjector::Global().ArmProbability("sfi.recover", 1.0);
 
-  RuntimeConfig cfg = CkptConfigFor(2);
-  cfg.supervision.max_recovery_attempts = 2;
   std::vector<StageSpec> spec;
   // fault_every_n == 1 + sabotaged recovery: crash-loops into quarantine.
   spec.push_back({"crashy",
@@ -420,7 +428,7 @@ TEST_F(CkptRuntimeTest, QuarantinedStageRoundTripsDegraded) {
   spec.push_back({"nat", [](std::size_t) {
                     return std::make_unique<NatRewrite>(0x0a000001);
                   }});
-  Runtime rt(cfg, spec);
+  Runtime rt(CkptConfigFor(2), spec);
   rt.Start();
 
   FlowSampler sampler(32, 0.0, 59);
@@ -469,64 +477,104 @@ TEST_F(CkptRuntimeTest, QuarantinedStageRoundTripsDegraded) {
       << stats.Summary();
 }
 
-// Failing-before style: an injected ckpt.failover_resync fault mid-failover
-// must refuse the failover (counted, state untouched) rather than escape or
-// half-apply — and the retry must succeed once the fault clears.
-TEST_F(CkptRuntimeTest, InjectedResyncFaultRefusesFailoverThenRetries) {
-  Runtime rt(CkptConfigFor(2), NatStage());
+// A runtime with one worker fails over onto its own snapshot: flows are
+// pinned, so no second worker is needed. NAT flows learned after the
+// checkpoint are forgotten, and the snapshot's flows keep their ports.
+TEST_F(CkptRuntimeTest, OneWorkerFailsOverOntoItsOwnSnapshot) {
+  DeliveryRecorder::Shared recorder;
+  std::vector<StageSpec> spec;
+  spec.push_back({"nat", [](std::size_t) {
+                    return std::make_unique<NatRewrite>(0x0a000001);
+                  }});
+  spec.push_back({"recorder", [&recorder](std::size_t w) {
+                    return std::make_unique<DeliveryRecorder>(w, &recorder);
+                  }});
+  Runtime rt(CkptConfigFor(1), spec);
   rt.Start();
 
-  FlowSampler sampler(16, 0.0, 61);
-  FlowFeeder feeder(&sampler);
-  std::uint64_t dispatched = 0;
-  for (int i = 0; i < 8; ++i) {
-    rt.Dispatch(feeder.Next(8));
-    dispatched += 8;
-  }
+  const std::vector<FiveTuple> kept = FlowsFrom(2000, 16);
+  const std::vector<FiveTuple> lost = FlowsFrom(3000, 16);
+
+  std::uint64_t dispatched = kept.size();
+  ASSERT_TRUE(rt.Dispatch(BatchOf(kept, 0)));
   ASSERT_TRUE(DrainTo(rt, dispatched));
   ASSERT_TRUE(rt.CheckpointLive());
+  const NatRewrite::State snapshot =
+      DecodeNatImage(rt.CheckpointImageCopy().workers.at(0).stages.at(0));
+  ASSERT_EQ(snapshot.flow_ports.size(), kept.size());
 
-  FaultInjector::Global().ArmOneShot("ckpt.failover_resync");
-  EXPECT_FALSE(rt.FailoverWorker(0));
-  EXPECT_EQ(rt.Stats().failover_failures, 1u);
-  EXPECT_EQ(rt.Stats().failovers, 0u);
-
-  // One-shot has burned: the retry goes through.
-  EXPECT_TRUE(rt.FailoverWorker(0));
-  for (int i = 0; i < 4; ++i) {
-    rt.Dispatch(feeder.Next(8));
-    dispatched += 8;
-  }
+  // Learned by the live table only, never checkpointed.
+  ASSERT_TRUE(rt.Dispatch(BatchOf(lost, 0)));
+  dispatched += lost.size();
   ASSERT_TRUE(DrainTo(rt, dispatched));
+
+  ASSERT_TRUE(rt.FailoverWorker(0));
+  ASSERT_TRUE(rt.Dispatch(BatchOf(kept, 1)));
+  dispatched += kept.size();
+  ASSERT_TRUE(DrainTo(rt, dispatched));
+  ASSERT_TRUE(rt.CheckpointLive());
+  const NatRewrite::State after =
+      DecodeNatImage(rt.CheckpointImageCopy().workers.at(0).stages.at(0));
   rt.Shutdown();
+
+  EXPECT_EQ(after.flow_ports, snapshot.flow_ports)
+      << "the flows learned after the checkpoint must be gone";
+  std::size_t checked = 0;
+  for (const DeliveryRecorder::Delivery& d : recorder.log) {
+    if (d.seq != 1) {
+      continue;
+    }
+    const std::size_t i = d.flow_port - 2000u;
+    ASSERT_LT(i, kept.size());
+    const auto port = snapshot.flow_ports.find(kept[i].Hash());
+    ASSERT_NE(port, snapshot.flow_ports.end());
+    EXPECT_EQ(d.nat_port, port->second)
+        << "flow " << d.flow_port << " lost its snapshot NAT port";
+    ++checked;
+  }
+  EXPECT_EQ(checked, kept.size());
 
   const RuntimeStats stats = rt.Stats();
   EXPECT_EQ(stats.failovers, 1u);
-  EXPECT_EQ(stats.failover_failures, 1u);
+  EXPECT_EQ(stats.failover_failures, 0u);
   EXPECT_EQ(stats.totals.packets + stats.totals.drops +
                 stats.steer_dropped_items,
-            dispatched);
+            dispatched)
+      << stats.Summary();
 }
 
-// A replica-restore fault during the install phase (the Apply fan-out that
-// propagates the new image to the replicas) abandons the epoch — counted,
-// not installed — and the next epoch succeeds.
-TEST_F(CkptRuntimeTest, InjectedReplicaFaultAbandonsEpoch) {
-  Runtime rt(CkptConfigFor(2), NatStage());
-  rt.Start();
-
-  // First epoch constructs the replicated state (no replica restore runs
-  // yet); the injected fault targets the propagation of the second.
-  ASSERT_TRUE(rt.CheckpointLive());
-  FaultInjector::Global().ArmProbability("ckpt.replica_restore", 1.0);
-  EXPECT_FALSE(rt.CheckpointLive());
-  EXPECT_EQ(rt.Stats().ckpt_epochs, 1u);
-  EXPECT_EQ(rt.Stats().ckpt_epoch_failures, 1u);
-
-  FaultInjector::Global().Reset();
-  EXPECT_TRUE(rt.CheckpointLive());
-  rt.Shutdown();
-  EXPECT_EQ(rt.Stats().ckpt_epochs, 2u);
+// An epoch moves its image into the snapshot slot, and failover restores the
+// victim straight from it: no checkpoint-library restore, replication
+// fan-out or promote-and-resync runs, so the process-global ckpt.* series
+// stay where they were.
+TEST_F(CkptRuntimeTest, EpochsAndFailoverReserializeNothing) {
+  obs::ArmMetrics(true);
+  const ckpt::CkptObs& m = ckpt::CkptObs::Get();
+  const std::uint64_t restores = m.restores->Value();
+  const std::uint64_t replicates = m.replicate_cycles->Count();
+  const std::uint64_t resyncs = m.failover_cycles->Count();
+  {
+    Runtime rt(CkptConfigFor(2), NatStage());
+    rt.Start();
+    FlowSampler sampler(16, 0.0, 61);
+    FlowFeeder feeder(&sampler);
+    std::uint64_t dispatched = 0;
+    for (int i = 0; i < 8; ++i) {
+      rt.Dispatch(feeder.Next(8));
+      dispatched += 8;
+    }
+    EXPECT_TRUE(DrainTo(rt, dispatched));
+    EXPECT_TRUE(rt.CheckpointLive());
+    EXPECT_TRUE(rt.CheckpointLive());
+    EXPECT_TRUE(rt.FailoverWorker(0));
+    rt.Shutdown();
+    EXPECT_EQ(rt.Stats().ckpt_epochs, 2u);
+    EXPECT_EQ(rt.Stats().failovers, 1u);
+  }
+  obs::ArmMetrics(false);
+  EXPECT_EQ(m.restores->Value(), restores);
+  EXPECT_EQ(m.replicate_cycles->Count(), replicates);
+  EXPECT_EQ(m.failover_cycles->Count(), resyncs);
 }
 
 // Failover before any successful checkpoint has nothing to resync from:

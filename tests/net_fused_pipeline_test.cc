@@ -5,9 +5,7 @@
 // Fault attribution stays per-member: a panic inside a fused group pins the
 // member the domain last entered, and a crash-looping member is split out
 // into its own quarantined singleton while its innocent neighbours re-form
-// and keep serving. Also the two probation-clock regressions: downstream
-// cool-downs ticking behind a dropping quarantined stage, and probation
-// armed mid-quarantine not probe-storming from a zero cool-down base.
+// and keep serving.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -28,7 +26,6 @@
 #include "src/net/runtime.h"
 #include "src/net/schedule.h"
 #include "src/util/fault_injector.h"
-#include "src/util/panic.h"
 
 namespace net {
 namespace {
@@ -48,23 +45,6 @@ PacketBatch MakeBatch(Mempool& pool, std::size_t n, std::uint8_t ttl = 64) {
   }
   return batch;
 }
-
-// Fault switch the test can flip between batches — lets a test decide which
-// stage crashes when, which NullFilter's every-Nth counter cannot.
-class ToggleFault : public Operator {
- public:
-  explicit ToggleFault(std::shared_ptr<bool> fail) : fail_(std::move(fail)) {}
-  PacketBatch Process(PacketBatch batch) override {
-    if (*fail_) {
-      util::Panic(util::PanicKind::kAssertFailed, "toggle fault");
-    }
-    return batch;
-  }
-  std::string_view name() const override { return "toggle"; }
-
- private:
-  std::shared_ptr<bool> fail_;
-};
 
 // --- Schedule resolution -------------------------------------------------
 
@@ -252,92 +232,6 @@ TEST(FusedPipeline, CheckpointsRestoreAcrossSchedulesByName) {
   EXPECT_EQ(fused.restore_mismatches(), 1u);
 }
 
-// --- Probation-clock regressions -----------------------------------------
-
-// Bugfix: a quarantined stage behind a quarantined kDrop stage must still
-// tick its cool-down — Run() previously returned at the first terminal
-// policy action, so downstream clocks stalled and those stages never became
-// probe-eligible.
-TEST(FusedPipeline, ProbationClockTicksBehindADroppingQuarantinedStage) {
-  Mempool pool(64, 2048);
-  sfi::DomainManager mgr;
-  IsolatedPipeline pipe(&mgr);
-  auto fail_a = std::make_shared<bool>(false);
-  auto fail_b = std::make_shared<bool>(false);
-  pipe.AddStage("front", [fail_a] { return std::make_unique<ToggleFault>(fail_a); },
-                DegradePolicy::kDrop);
-  pipe.AddStage("back", [fail_b] { return std::make_unique<ToggleFault>(fail_b); },
-                DegradePolicy::kDrop);
-  pipe.SetProbation(/*cooldown_batches=*/2);
-
-  auto crash_loop = [&](std::shared_ptr<bool> toggle) {
-    *toggle = true;
-    for (int i = 0; i < 2; ++i) {
-      ASSERT_FALSE(pipe.Run(MakeBatch(pool, 4)).ok());
-      pipe.RecoverFailedStages(/*max_attempts=*/1);
-    }
-    *toggle = false;
-  };
-  // Quarantine the *downstream* stage first (front still healthy), then the
-  // front one — the classic shadowing arrangement.
-  crash_loop(fail_b);
-  ASSERT_TRUE(pipe.health(1).quarantined);
-  crash_loop(fail_a);
-  ASSERT_TRUE(pipe.health(0).quarantined);
-
-  // Every dispatched batch now dies at the quarantined kDrop front stage;
-  // the back stage's cool-down must keep counting down regardless.
-  for (int i = 0; i < 3; ++i) {
-    auto out = pipe.Run(MakeBatch(pool, 4));
-    ASSERT_TRUE(out.ok());
-    EXPECT_EQ(out.value().size(), 0u) << "kDrop eats the batch";
-  }
-  EXPECT_EQ(pipe.ProbeQuarantined(), 2u)
-      << "both stages' clocks elapsed — the shadowed one must probe too";
-  EXPECT_TRUE(pipe.health(0).probing);
-  EXPECT_TRUE(pipe.health(1).probing);
-}
-
-// Bugfix: probation armed *after* a stage was quarantined — the stage's
-// cool-down base is still 0, so it would probe on the very next supervisor
-// pass, and a failed probe doubling 0 stays 0 (probe storm). Arming must
-// seed the clock with the configured initial, and re-quarantine doubling is
-// clamped to at least that initial.
-TEST(FusedPipeline, ProbationArmedMidQuarantineDoesNotProbeStorm) {
-  Mempool pool(64, 2048);
-  sfi::DomainManager mgr;
-  IsolatedPipeline pipe(&mgr);
-  auto fail = std::make_shared<bool>(true);
-  pipe.AddStage("crashy", [fail] { return std::make_unique<ToggleFault>(fail); });
-
-  // Quarantine with probation disabled: the cool-down base stays 0.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_FALSE(pipe.Run(MakeBatch(pool, 4)).ok());
-    pipe.RecoverFailedStages(/*max_attempts=*/1);
-  }
-  ASSERT_TRUE(pipe.health(0).quarantined);
-  ASSERT_EQ(pipe.health(0).cooldown, 0u);
-
-  // Arm probation mid-quarantine: the stage must wait a full initial
-  // cool-down, not probe on the next pass.
-  pipe.SetProbation(/*cooldown_batches=*/3);
-  EXPECT_EQ(pipe.ProbeQuarantined(), 0u)
-      << "zero-based clock must be re-seeded, not instantly eligible";
-  EXPECT_EQ(pipe.health(0).cooldown, 3u);
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pipe.Run(MakeBatch(pool, 4)).ok());  // kDrop: empty batches
-  }
-  EXPECT_EQ(pipe.ProbeQuarantined(), 1u);
-
-  // Failed probe: the cool-down doubles from a *non-zero* base and can
-  // never collapse below the configured initial again.
-  ASSERT_FALSE(pipe.Run(MakeBatch(pool, 4)).ok());
-  EXPECT_TRUE(pipe.health(0).quarantined);
-  EXPECT_EQ(pipe.health(0).requarantines, 1u);
-  EXPECT_GE(pipe.health(0).cooldown, 3u);
-  EXPECT_EQ(pipe.ProbeQuarantined(), 0u) << "no immediate re-probe";
-}
-
 // --- Runtime differential (the TSan case) --------------------------------
 
 class FusedRuntimeTest : public ::testing::Test {
@@ -418,8 +312,6 @@ TEST_F(FusedRuntimeTest, FaultInFusedGroupQuarantinesOnlyTheMember) {
   RuntimeConfig cfg;
   cfg.workers = 2;
   cfg.schedule.Fuse(0, 2);
-  cfg.supervision.max_recovery_attempts = 2;
-  cfg.supervision.watchdog_period_ms = 2;
   Runtime rt(cfg, Chain3(DegradePolicy::kPassthrough, /*fault_every_n=*/1));
   rt.Start();
 
@@ -470,7 +362,6 @@ TEST_F(FusedRuntimeTest, FusedCheckpointFailoverConserves) {
   cfg.workers = 2;
   cfg.schedule.Fuse(0, 2);
   cfg.ckpt.enabled = true;
-  cfg.supervision.watchdog_period_ms = 2;
   Runtime rt(cfg, Chain3(DegradePolicy::kDrop, 0));
   rt.Start();
 

@@ -328,7 +328,7 @@ TEST(Runtime, ScrapeUnderLoadIsConsistent) {
     if (scrape % 25 == 0) {
       EXPECT_NE(rt.ScrapePrometheus().find("runtime_packets_total"),
                 std::string::npos);
-      EXPECT_NE(rt.ScrapeJson().find("runtime.batch_cycles"),
+      EXPECT_NE(rt.registry().Scrape().ToJson().find("runtime.batch_cycles"),
                 std::string::npos);
     }
   }

@@ -31,7 +31,8 @@
 //                      floor is refused, not committed.
 //
 // Metrics are read from the "metrics" object: plain numbers compare
-// directly, Samples-style objects compare their "mean". Higher is worse
+// directly, Samples-style objects compare their "p50" (a mean lets one
+// preempted sample decide the comparison). Higher is worse
 // (cycle costs); improvements never fail. A metric present in the baseline
 // but missing from the fresh run fails the gate — a silently vanished
 // number is how regressions hide. Exit codes: 0 ok, 1 regression/missing,
@@ -102,16 +103,16 @@ JsonPtr LoadJson(const std::string& path, std::string* error) {
 }
 
 // A metric's comparable value: a plain number, or a Samples-style object's
-// "mean". Returns false for anything else (non-numeric entries are skipped).
+// "p50". Returns false for anything else (non-numeric entries are skipped).
 bool MetricValue(const JsonValue& v, double* out) {
   if (v.kind == JsonValue::Kind::kNumber) {
     *out = v.number;
     return true;
   }
   if (v.kind == JsonValue::Kind::kObject) {
-    const JsonValue* mean = v.Find("mean");
-    if (mean != nullptr && mean->kind == JsonValue::Kind::kNumber) {
-      *out = mean->number;
+    const JsonValue* p50 = v.Find("p50");
+    if (p50 != nullptr && p50->kind == JsonValue::Kind::kNumber) {
+      *out = p50->number;
       return true;
     }
   }
