@@ -231,10 +231,7 @@ int main(int argc, char** argv) {
   // Live checkpointing on: the storm ends with epochs under fire plus a
   // forced failover resync.
   cfg.ckpt.enabled = true;
-  if (!ops_path.empty()) {
-    cfg.ops.enabled = true;
-    cfg.ops.unix_path = ops_path;
-  }
+  cfg.ops.unix_path = ops_path;  // empty: no ops server
 
   net::Runtime rt(cfg, BuildChain());
   rt.Start();

@@ -90,7 +90,6 @@ int main(int argc, char** argv) {
     obs::ArmMetrics(true);
     obs::Tracer::Global().Arm(/*ring_capacity=*/1 << 14);
     obs::OpsServerConfig ops_cfg;
-    ops_cfg.enabled = true;
     ops_cfg.unix_path = ops_path;
     ops_cfg.slo_metric = "sfi.crossing_cycles";  // the pipeline's hot path
     obs::OpsServer::Hooks hooks;

@@ -85,7 +85,7 @@ int main() {
   // Phase 1: serve traffic, then checkpoint the flow table.
   std::map<std::uint32_t, std::uint32_t> before = assignments();
   auto exported = lb.Call([](net::MaglevConnTrack& nf) {
-    return FlowSnapshot{nf.ExportState().flows};
+    return FlowSnapshot{nf.state().flows};
   });
   latest = ckpt::Checkpoint(exported.value());
   std::printf("checkpointed %zu flows (%zu bytes)\n",

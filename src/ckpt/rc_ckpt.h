@@ -16,6 +16,7 @@
 
 #include <any>
 #include <cstdint>
+#include <vector>
 
 #include "src/ckpt/traits.h"
 #include "src/lin/arc.h"
@@ -63,11 +64,11 @@ void SaveShared(const Handle& handle, Writer& w) {
       return;
     }
     case DedupMode::kLinearMark: {
-      const std::uint64_t fresh = w.AllocRcId();
+      // The mark records the next id; only a first visit takes it.
       std::uint64_t existing = 0;
-      if (handle.CheckpointMark(w.epoch(), fresh, &existing)) {
+      if (handle.CheckpointMark(w.epoch(), w.NextRcId(), &existing)) {
         w.WritePod(RcTag::kNew);
-        w.WritePod(fresh);
+        w.WritePod(w.AllocRcId());
         Traits<T>::Save(*handle, w);
         w.CountPayloadCopy();
       } else {
@@ -91,17 +92,23 @@ Handle LoadShared(Reader& r) {
       // independent object (Figure 3b).
       return Handle::Make(Traits<T>::Load(r));
     case RcTag::kNew: {
-      const auto id = r.ReadPod<std::uint64_t>();
+      // Ids are dense in stream order. The slot is reserved before the
+      // payload loads: nodes nested in it take the later ids.
+      std::vector<std::any>& table = r.rc_table();
+      LINSYS_ASSERT(r.ReadPod<std::uint64_t>() == table.size() + 1,
+                    "corrupt snapshot: copy-id out of order");
+      const std::size_t slot = table.size();
+      table.emplace_back();
       Handle handle = Handle::Make(Traits<T>::Load(r));
-      r.rc_table()[id] = handle;  // std::any copy of the handle
+      table[slot] = handle;  // std::any copy of the handle
       return handle;
     }
     case RcTag::kRef: {
       const auto id = r.ReadPod<std::uint64_t>();
-      auto it = r.rc_table().find(id);
-      LINSYS_ASSERT(it != r.rc_table().end(),
+      std::vector<std::any>& table = r.rc_table();
+      LINSYS_ASSERT(id >= 1 && id <= table.size() && table[id - 1].has_value(),
                     "snapshot back-reference to unknown node");
-      const Handle* handle = std::any_cast<Handle>(&it->second);
+      const Handle* handle = std::any_cast<Handle>(&table[id - 1]);
       LINSYS_ASSERT(handle != nullptr,
                     "snapshot back-reference to a node of another type");
       return *handle;

@@ -33,8 +33,6 @@ enum class DedupMode : std::uint8_t {
 
 struct Snapshot {
   std::vector<std::uint8_t> bytes;
-  DedupMode mode = DedupMode::kLinearMark;
-  std::uint64_t epoch = 0;
 
   std::size_t size_bytes() const { return bytes.size(); }
 };
@@ -61,6 +59,10 @@ class Writer {
 
   DedupMode mode() const { return mode_; }
   std::uint64_t epoch() const { return epoch_; }
+  // The id the next first visit takes; AllocRcId takes it. Only first
+  // visits take one, in both dedup modes, so ids run 1, 2, 3, ... in stream
+  // order and the Reader indexes its restore table by them.
+  std::uint64_t NextRcId() const { return next_rc_id_; }
   std::uint64_t AllocRcId() { return next_rc_id_++; }
 
   // kAddressSet mode: the conventional visited-set. Returns the id under
@@ -82,13 +84,7 @@ class Writer {
   std::uint64_t payload_copies() const { return payload_copies_; }
   std::uint64_t back_refs() const { return back_refs_; }
 
-  Snapshot Finish() {
-    Snapshot snap;
-    snap.bytes = std::move(bytes_);
-    snap.mode = mode_;
-    snap.epoch = epoch_;
-    return snap;
-  }
+  Snapshot Finish() { return Snapshot{std::move(bytes_)}; }
 
  private:
   DedupMode mode_;
@@ -102,8 +98,9 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(const Snapshot& snapshot)
-      : bytes_(snapshot.bytes), mode_(snapshot.mode) {}
+  // Reads `bytes` in place; they must outlive the Reader.
+  explicit Reader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
+  explicit Reader(const Snapshot& snapshot) : Reader(snapshot.bytes) {}
 
   // Length checks compare against remaining() rather than computing
   // pos_ + len, which a corrupt 64-bit length would wrap.
@@ -128,19 +125,16 @@ class Reader {
   // decoded element count may never exceed this — the bound Traits::Load
   // puts on every allocation it sizes from the input.
   std::size_t remaining() const { return bytes_.size() - pos_; }
-  DedupMode mode() const { return mode_; }
 
-  // Shared-node reconstruction: restored Rc handles, keyed by copy-id. The
-  // std::any holds a lin::Rc<T>/lin::Arc<T>; the typed Traits retrieve it.
-  std::unordered_map<std::uint64_t, std::any>& rc_table() {
-    return rc_table_;
-  }
+  // Shared-node reconstruction: restored lin::Rc/lin::Arc handles in
+  // std::any, copy-id i at index i - 1. A node's slot is reserved when its
+  // payload starts loading and filled once the payload is built.
+  std::vector<std::any>& rc_table() { return rc_table_; }
 
  private:
   const std::vector<std::uint8_t>& bytes_;
-  DedupMode mode_;
   std::size_t pos_ = 0;
-  std::unordered_map<std::uint64_t, std::any> rc_table_;
+  std::vector<std::any> rc_table_;
 };
 
 }  // namespace ckpt

@@ -7,7 +7,8 @@
 // template induction:
 //   * scalars           -> byte copy
 //   * std::string       -> length + bytes
-//   * std::vector<T>    -> length + per-element induction
+//   * std::vector<T>    -> length + per-element induction (one block for
+//                          arithmetic T)
 //   * std::unique_ptr<T>, lin::Own<T> -> presence flag + pointee induction
 //   * user structs      -> declare fields once with LINSYS_CHECKPOINT_FIELDS
 //                          (the "derive" macro); induction recurses per field
@@ -50,7 +51,16 @@ template <typename T>
 struct Traits<T, std::enable_if_t<std::is_arithmetic_v<T> ||
                                   std::is_enum_v<T>>> {
   static void Save(const T& value, Writer& w) { w.WritePod(value); }
-  static T Load(Reader& r) { return r.ReadPod<T>(); }
+  static T Load(Reader& r) {
+    if constexpr (std::is_same_v<T, bool>) {
+      // A byte other than 0 or 1 is no bool: loading it as one is UB.
+      const auto byte = r.ReadPod<std::uint8_t>();
+      LINSYS_ASSERT(byte <= 1, "snapshot corrupt: bool out of range");
+      return byte == 1;
+    } else {
+      return r.ReadPod<T>();
+    }
+  }
 };
 
 // ---- std::string ------------------------------------------------------------
@@ -74,18 +84,36 @@ struct Traits<std::string> {
 
 template <typename T>
 struct Traits<std::vector<T>> {
+  // Arithmetic elements go as one block: the same bytes the per-element
+  // path writes. std::vector<bool> has no data() and takes that path.
+  static constexpr bool kBlock =
+      std::is_arithmetic_v<T> && !std::is_same_v<T, bool>;
+
   static void Save(const std::vector<T>& v, Writer& w) {
     w.WritePod<std::uint64_t>(v.size());
-    for (const T& item : v) {
-      Traits<T>::Save(item, w);
+    if constexpr (kBlock) {
+      w.WriteBytes(v.data(), v.size() * sizeof(T));
+    } else {
+      for (const T& item : v) {
+        Traits<T>::Save(item, w);
+      }
     }
   }
   static std::vector<T> Load(Reader& r) {
     const auto n = r.ReadPod<std::uint64_t>();
     std::vector<T> v;
-    v.reserve(std::min<std::uint64_t>(n, r.remaining()));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      v.push_back(Traits<T>::Load(r));
+    if constexpr (kBlock) {
+      LINSYS_ASSERT(n <= r.remaining() / sizeof(T),
+                    "snapshot truncated or corrupt");
+      v.resize(n);
+      if (n > 0) {  // data() of an empty vector may be null: no memcpy
+        r.ReadBytes(v.data(), n * sizeof(T));
+      }
+    } else {
+      v.reserve(std::min<std::uint64_t>(n, r.remaining()));
+      for (std::uint64_t i = 0; i < n; ++i) {
+        v.push_back(Traits<T>::Load(r));
+      }
     }
     return v;
   }

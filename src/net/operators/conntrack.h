@@ -38,15 +38,15 @@ class MaglevConnTrack : public Operator, public CkptStage {
       const FiveTuple t = pkt.Tuple();
       const std::uint64_t key = t.Hash();
       std::uint32_t backend_ip = 0;
-      auto it = flows_.find(key);
-      if (it != flows_.end()) {
+      auto it = state_.flows.find(key);
+      if (it != state_.flows.end()) {
         backend_ip = it->second;  // affinity: pinned at first packet
         ++hits_;
       } else {
         const std::size_t backend = table_.Lookup(key);
         backend_ip = backend_ips_[backend];
-        if (flows_.size() < max_flows_) {
-          flows_.emplace(key, backend_ip);
+        if (state_.flows.size() < max_flows_) {
+          state_.flows.emplace(key, backend_ip);
         } else {
           ++table_overflow_;  // degrade to stateless lookups, don't drop
         }
@@ -85,25 +85,25 @@ class MaglevConnTrack : public Operator, public CkptStage {
     return false;
   }
 
-  // Flow-state export for checkpoint/replication consumers.
+  // Flow state for checkpoint/replication consumers. Live-runtime
+  // checkpointing serializes only the per-flow affinity table, in place:
+  // the Maglev table itself is config (rebuilt from the stage factory),
+  // while the pinned flows are the state a failover must not lose.
   struct State {
     std::unordered_map<std::uint64_t, std::uint32_t> flows;
     LINSYS_CHECKPOINT_FIELDS(flows)
   };
-  State ExportState() const { return State{flows_}; }
-  void ImportState(State state) { flows_ = std::move(state.flows); }
+  const State& state() const { return state_; }
+  void ImportState(State state) { state_ = std::move(state); }
 
-  // Live-runtime checkpointing serializes only the per-flow affinity table:
-  // the Maglev table itself is config (rebuilt from the stage factory), while
-  // the pinned flows are the state a failover must not lose.
   void SaveState(ckpt::Writer& w) const override {
-    ckpt::Traits<State>::Save(ExportState(), w);
+    ckpt::Traits<State>::Save(state_, w);
   }
   void LoadState(ckpt::Reader& r) override {
-    ImportState(ckpt::Traits<State>::Load(r));
+    state_ = ckpt::Traits<State>::Load(r);
   }
 
-  std::size_t flow_count() const { return flows_.size(); }
+  std::size_t flow_count() const { return state_.flows.size(); }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t table_overflow() const { return table_overflow_; }
@@ -113,7 +113,7 @@ class MaglevConnTrack : public Operator, public CkptStage {
   Maglev table_;
   std::vector<std::uint32_t> backend_ips_;
   std::size_t max_flows_;
-  std::unordered_map<std::uint64_t, std::uint32_t> flows_;
+  State state_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t table_overflow_ = 0;

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 
 #include "src/ckpt/traits.h"
 #include "src/net/headers.h"
@@ -18,41 +19,11 @@ namespace net {
 
 class NatRewrite : public Operator, public CkptStage {
  public:
-  explicit NatRewrite(std::uint32_t public_ip, std::uint16_t port_base = 20000)
-      : public_ip_(public_ip), next_port_(port_base) {}
-
-  PacketBatch Process(PacketBatch batch) override {
-    LINSYS_FAULT_POINT("op.nat");
-    for (PacketBuf& pkt : batch) {
-      const FiveTuple t = pkt.Tuple();
-      const std::uint64_t key = t.Hash();
-      auto [it, inserted] = flow_ports_.try_emplace(key, next_port_);
-      if (inserted) {
-        LINSYS_ASSERT(next_port_ != 0xffff, "NAT port space exhausted");
-        ++next_port_;
-      }
-
-      Ipv4Hdr* ip = pkt.ipv4();
-      UdpHdr* udp = pkt.udp();
-      const std::uint32_t old_src = ip->src_addr;
-      const std::uint32_t new_src = HostToNet32(public_ip_);
-      ip->src_addr = new_src;
-      ip->header_checksum =
-          ChecksumFixup32(ip->header_checksum, old_src, new_src);
-      udp->src_port = HostToNet16(it->second);
-      ++translated_;
-    }
-    return batch;
-  }
-
-  std::string_view name() const override { return "nat"; }
-
-  std::uint64_t translated() const { return translated_; }
-  std::size_t flow_count() const { return flow_ports_.size(); }
-
-  // Exportable NF state, for checkpoint/rollback systems (the paper cites
-  // rollback-recovery for middleboxes as a motivating consumer of automatic
-  // snapshotting; FTMB-style systems ship exactly this kind of struct).
+  // Checkpointable NF state, for checkpoint/rollback systems (the paper
+  // cites rollback-recovery for middleboxes as a motivating consumer of
+  // automatic snapshotting; FTMB-style systems ship exactly this kind of
+  // struct). Process works on it in place, so a checkpoint serializes the
+  // live table without copying it first.
   struct State {
     std::uint32_t public_ip = 0;
     std::uint16_t next_port = 0;
@@ -61,32 +32,54 @@ class NatRewrite : public Operator, public CkptStage {
     LINSYS_CHECKPOINT_FIELDS(public_ip, next_port, flow_ports, translated)
   };
 
-  State ExportState() const {
-    return State{public_ip_, next_port_, flow_ports_, translated_};
+  explicit NatRewrite(std::uint32_t public_ip, std::uint16_t port_base = 20000)
+      : state_{public_ip, port_base, {}, 0} {}
+
+  PacketBatch Process(PacketBatch batch) override {
+    LINSYS_FAULT_POINT("op.nat");
+    for (PacketBuf& pkt : batch) {
+      const FiveTuple t = pkt.Tuple();
+      const std::uint64_t key = t.Hash();
+      auto [it, inserted] =
+          state_.flow_ports.try_emplace(key, state_.next_port);
+      if (inserted) {
+        LINSYS_ASSERT(state_.next_port != 0xffff, "NAT port space exhausted");
+        ++state_.next_port;
+      }
+
+      Ipv4Hdr* ip = pkt.ipv4();
+      UdpHdr* udp = pkt.udp();
+      const std::uint32_t old_src = ip->src_addr;
+      const std::uint32_t new_src = HostToNet32(state_.public_ip);
+      ip->src_addr = new_src;
+      ip->header_checksum =
+          ChecksumFixup32(ip->header_checksum, old_src, new_src);
+      udp->src_port = HostToNet16(it->second);
+      ++state_.translated;
+    }
+    return batch;
   }
+
+  std::string_view name() const override { return "nat"; }
+
+  std::uint64_t translated() const { return state_.translated; }
+  std::size_t flow_count() const { return state_.flow_ports.size(); }
+
+  const State& state() const { return state_; }
+  void ImportState(State state) { state_ = std::move(state); }
 
   // Full NAT state round-trips through a runtime checkpoint: port
   // allocations must survive failover or translated flows would be re-mapped
   // to fresh ports mid-connection.
   void SaveState(ckpt::Writer& w) const override {
-    ckpt::Traits<State>::Save(ExportState(), w);
+    ckpt::Traits<State>::Save(state_, w);
   }
   void LoadState(ckpt::Reader& r) override {
-    ImportState(ckpt::Traits<State>::Load(r));
-  }
-
-  void ImportState(State state) {
-    public_ip_ = state.public_ip;
-    next_port_ = state.next_port;
-    flow_ports_ = std::move(state.flow_ports);
-    translated_ = state.translated;
+    state_ = ckpt::Traits<State>::Load(r);
   }
 
  private:
-  std::uint32_t public_ip_;
-  std::uint16_t next_port_;
-  std::unordered_map<std::uint64_t, std::uint16_t> flow_ports_;
-  std::uint64_t translated_ = 0;
+  State state_;
 };
 
 }  // namespace net

@@ -67,14 +67,15 @@ class CkptStage {
 };
 
 // One stage's slice of a runtime checkpoint. `bytes` is the operator's
-// CkptStage serialization (empty when the stage is stateless or was
-// unreachable); `quarantined` round-trips the degraded state so a restored
-// runtime does not resurrect a stage the supervisor gave up on.
+// CkptStage serialization, moved out of its Writer and read in place on
+// restore (empty when the stage is stateless or was unreachable);
+// `quarantined` round-trips the degraded state so a restored runtime does
+// not resurrect a stage the supervisor gave up on.
 struct StageImage {
   std::string name;
   std::uint8_t present = 0;      // bytes hold a CkptStage serialization
   std::uint8_t quarantined = 0;  // stage was quarantined at capture time
-  std::string bytes;
+  std::vector<std::uint8_t> bytes;
   LINSYS_CHECKPOINT_FIELDS(name, present, quarantined, bytes)
 };
 
@@ -376,10 +377,8 @@ class IsolatedPipeline {
             },
             "ckpt.save");
         if (result.ok() && result.value()) {
-          ckpt::Snapshot snap = writer.Finish();
           img.present = 1;
-          img.bytes.assign(reinterpret_cast<const char*>(snap.bytes.data()),
-                           snap.bytes.size());
+          img.bytes = writer.Finish().bytes;
         }
       }
       images.push_back(std::move(img));
@@ -390,39 +389,28 @@ class IsolatedPipeline {
   // Restores stage state from a checkpoint image: every running, stateful,
   // non-quarantined stage reloads its flow state from the image through its
   // live rref (LoadState replaces the flow tables wholesale, so no rebuild
-  // is needed). Images are keyed by stage *name*, not position — a
-  // checkpoint taken under one schedule (or an older pipeline shape)
-  // restores into any other; an image naming no current stage is refused
-  // and counted in restore_mismatches() rather than aborting the process.
-  // Quarantined stages stay quarantined — restoring cannot resurrect a
-  // stage the supervisor retired — and Failed domains are left for the
+  // is needed). Images go by position: image i is member i's, as
+  // CheckpointStages wrote them, and must carry its name — an image from
+  // another pipeline panics. Images are per member in add order whatever
+  // the fusion, so a checkpoint taken under one schedule restores into any
+  // other. Quarantined stages stay quarantined — restoring cannot resurrect
+  // a stage the supervisor retired — and Failed domains are left for the
   // supervisor (they come back factory-fresh). Returns how many stages had
   // state reloaded. Caller must serialize with Run() and recovery.
   std::size_t RestoreStages(const std::vector<StageImage>& images) {
+    LINSYS_ASSERT(images.size() == members_.size(),
+                  "checkpoint image from another pipeline");
     std::size_t restored = 0;
-    for (const StageImage& img : images) {
-      Member* found = nullptr;
-      for (auto& mp : members_) {
-        if (mp->health.name == img.name) {
-          found = mp.get();
-          break;
-        }
-      }
-      if (found == nullptr) {
-        // The image belongs to a stage this pipeline does not have: a
-        // shape/name mismatch, refused and counted (never an abort — the
-        // stages that do match still restore).
-        restore_mismatches_++;
-        continue;
-      }
-      Member& member = *found;
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      const StageImage& img = images[i];
+      Member& member = *members_[i];
+      LINSYS_ASSERT(img.name == member.health.name,
+                    "checkpoint image from another pipeline");
       if (img.present == 0 || member.health.quarantined ||
           member.group->domain->state() != sfi::DomainState::kRunning) {
         continue;
       }
-      ckpt::Snapshot snap;
-      snap.bytes.assign(img.bytes.begin(), img.bytes.end());
-      ckpt::Reader reader(snap);
+      ckpt::Reader reader(img.bytes);
       auto result = member.group->rref.Call(
           [&reader, slot = member.slot](FusedOps& ops) {
             auto* ckpt_op = dynamic_cast<CkptStage*>(ops.ops[slot].get());
@@ -437,10 +425,6 @@ class IsolatedPipeline {
     }
     return restored;
   }
-
-  // Checkpoint images refused by RestoreStages because they named a stage
-  // this pipeline does not have (cumulative).
-  std::uint64_t restore_mismatches() const { return restore_mismatches_; }
 
   StageHealth health(std::size_t i) const { return members_[i]->health; }
 
@@ -583,7 +567,6 @@ class IsolatedPipeline {
   // Member*; addresses must survive vector growth and regrouping.
   std::vector<std::unique_ptr<Member>> members_;  // flat, add order
   std::vector<std::unique_ptr<Group>> groups_;    // pipeline order
-  std::uint64_t restore_mismatches_ = 0;
 };
 
 inline void IsolatedPipeline::AddStage(std::string stage_name,

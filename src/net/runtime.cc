@@ -60,9 +60,6 @@ std::string RuntimeStats::Summary() const {
     s += " ckpt_failures=" + std::to_string(ckpt_epoch_failures);
     s += " failovers=" + std::to_string(failovers);
     s += " failover_failures=" + std::to_string(failover_failures);
-    if (ckpt_restore_mismatches > 0) {
-      s += " restore_mismatches=" + std::to_string(ckpt_restore_mismatches);
-    }
     s += "\n  ckpt_pause_cycles: " + ckpt_pause_cycles.Summary();
   }
   s += " | load: " + packets_per_worker.Summary();
@@ -151,8 +148,6 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
   telemetry_.failovers = registry_.GetCounter("runtime.failovers_total");
   telemetry_.failover_failures =
       registry_.GetCounter("runtime.failover_failures_total");
-  telemetry_.ckpt_restore_mismatches =
-      registry_.GetCounter("runtime.ckpt_restore_mismatches_total");
   // Always-on (like batch_cycles): the pause a checkpoint epoch imposes on
   // each worker is the headline robustness number, and epochs are rare.
   telemetry_.ckpt_pause_cycles =
@@ -218,7 +213,7 @@ void Runtime::Start() {
     worker->thread = std::thread([this, worker] { WorkerMain(*worker); });
   }
   accepting_.store(true, std::memory_order_release);
-  if (config_.ops.enabled) {
+  if (!config_.ops.unix_path.empty()) {
     obs::OpsServer::Hooks hooks;
     hooks.registry = &registry_;
     hooks.global_registry = &obs::Registry::Global();
@@ -426,9 +421,10 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   LINSYS_TRACE_ASYNC_SPAN("flow.batch", "flow", flows.flow_id());
   // Materialize frames from this worker's own pool, on this thread —
   // the whole buffer lifecycle (alloc, fault-unwind, drop) is shard-local.
-  PacketBatch batch(flows.size());
+  PacketBatch batch;
   std::size_t materialize_drops = 0;
   try {
+    batch = PacketBatch(flows.size());
     for (const FlowWork& fw : flows) {
       PacketBuf pkt = PacketBuf::Alloc(&w.pool, kFrameLen);
       if (!pkt.has_value()) {
@@ -439,11 +435,12 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
       std::memcpy(pkt.payload(), &fw.seq, kFlowSeqBytes);
       batch.Push(std::move(pkt));
     }
-  } catch (const util::PanicError&) {
+  } catch (...) {
     // A panic outside any protection domain (e.g. an injected Mempool::Alloc
-    // fault) is contained at the shard loop: the whole sub-batch is dropped
-    // — partially built frames go back to this worker's pool as `batch`
-    // unwinds on this thread — and the worker survives to take the next one.
+    // fault) or a failed allocation of the batch is contained at the shard
+    // loop: the whole sub-batch is dropped — partially built frames go back
+    // to this worker's pool as `batch` dies on this thread — and the worker
+    // survives to take the next one.
     telemetry_.drops->Add(w.index, flows.size());
     telemetry_.faults->Inc(w.index);
     LINSYS_TRACE_INSTANT_ARG("runtime.materialize_fault", w.index);
@@ -605,19 +602,16 @@ std::uint64_t Runtime::MaybeCaptureCheckpoint(Worker& w) {
     return 0;
   }
   const std::uint64_t gen = ckpt_gen_.load(std::memory_order_acquire);
-  if (gen == w.ckpt_seen_gen) {
+  // Only this thread writes its slot's gen, so it reads it unlocked.
+  if (gen == w.ckpt_gen) {
     return 0;
   }
-  // One capture per epoch even if the driver abandons it: the deposit
-  // carries the gen, so a stale image can never pollute a later epoch.
-  w.ckpt_seen_gen = gen;
   obs::ScopedProfilerPhase ckpt_phase(obs::ProfilerPhase::kCkptCapture);
   const std::uint64_t t0 = util::CycleStart();
-  WorkerCkptImage img;
-  img.index = w.index;
+  std::vector<StageImage> stages;
   {
     std::lock_guard<std::mutex> lock(w.mu);
-    img.stages = w.isolated.CheckpointStages();
+    stages = w.isolated.CheckpointStages();
   }
   const std::uint64_t pause = util::CycleEnd() - t0;
   // Always-on: the pause is the checkpoint's whole cost story, and epochs
@@ -625,8 +619,12 @@ std::uint64_t Runtime::MaybeCaptureCheckpoint(Worker& w) {
   telemetry_.ckpt_pause_cycles->RecordWithExemplar(
       w.index, pause, w.last_flow_id.load(std::memory_order_relaxed));
   {
+    // One capture per epoch even if CheckpointLive abandons it. The slot
+    // carries the gen, so a late capture can never stand in for a later
+    // epoch: that epoch's capture overwrites it.
     std::lock_guard<std::mutex> lock(ckpt_mu_);
-    ckpt_pending_.emplace_back(gen, std::move(img));
+    w.ckpt_gen = gen;
+    w.ckpt_stages = std::move(stages);
   }
   ckpt_cv_.notify_all();
   LINSYS_TRACE_INSTANT_ARG("runtime.ckpt_capture", w.index);
@@ -646,60 +644,49 @@ bool Runtime::CheckpointLive() {
   const std::uint64_t gen =
       ckpt_gen_.fetch_add(1, std::memory_order_acq_rel) + 1;
   const auto deadline = std::chrono::steady_clock::now() + kCkptQuiesceTimeout;
-  std::vector<bool> seen(workers_.size(), false);
   std::vector<WorkerCkptImage> images;
-  bool complete = false;
   {
     std::unique_lock<std::mutex> lock(ckpt_mu_);
+    std::vector<std::size_t> waiting;
     while (true) {
-      for (auto it = ckpt_pending_.begin(); it != ckpt_pending_.end();) {
-        if (it->first == gen && !seen[it->second.index]) {
-          seen[it->second.index] = true;
-          images.push_back(std::move(it->second));
-          it = ckpt_pending_.erase(it);
-        } else if (it->first <= gen) {
-          // Straggler from an abandoned epoch (or a duplicate): discard.
-          it = ckpt_pending_.erase(it);
-        } else {
-          ++it;
+      waiting.clear();
+      for (const auto& w : workers_) {
+        if (w->ckpt_gen != gen) {
+          waiting.push_back(w->index);
         }
       }
-      if (images.size() == workers_.size()) {
-        complete = true;
+      if (waiting.empty()) {
         break;
       }
       if (std::chrono::steady_clock::now() >= deadline) {
-        break;
+        // Quiesce timed out (some worker never reached a boundary in
+        // time). Nothing is installed; a late capture for this gen is
+        // overwritten by the next epoch's.
+        telemetry_.ckpt_epoch_failures->Inc();
+        LINSYS_TRACE_INSTANT("runtime.ckpt_epoch_abandoned");
+        return false;
       }
-      // Nudge workers that have not deposited and whose ring is empty:
-      // those are polling or parked in Await and will never reach a batch
-      // boundary on their own (a publish to an empty ring cannot wait; a
-      // busy worker reaches its boundary naturally). Re-checked every
-      // iteration — a ring that drains right after this scan gets the next
-      // nudge.
+      // Nudge waiting workers whose ring is empty: those are polling or
+      // parked in Await and will never reach a batch boundary on their own
+      // (a publish to an empty ring cannot wait; a busy worker reaches its
+      // boundary naturally). Re-checked every iteration — a ring that
+      // drains right after this scan gets the next nudge.
       lock.unlock();
-      for (std::size_t i = 0; i < workers_.size(); ++i) {
-        if (!seen[i] && rss_.QueueDepth(i) == 0) {
+      for (std::size_t i : waiting) {
+        if (rss_.QueueDepth(i) == 0) {
           (void)rss_.Nudge(i);
         }
       }
       lock.lock();
       ckpt_cv_.wait_for(lock, std::chrono::milliseconds(1));
     }
+    // Every slot holds this gen's capture: move them out in worker order.
+    images.reserve(workers_.size());
+    for (const auto& w : workers_) {
+      images.push_back(WorkerCkptImage{w->index, std::move(w->ckpt_stages)});
+    }
   }
-  if (!complete) {
-    // Quiesce timed out (some worker never reached a boundary in time).
-    // Nothing is installed; deposits for this gen are swept by the next
-    // epoch's harvest.
-    telemetry_.ckpt_epoch_failures->Inc();
-    LINSYS_TRACE_INSTANT("runtime.ckpt_epoch_abandoned");
-    return false;
-  }
-  std::sort(images.begin(), images.end(),
-            [](const WorkerCkptImage& a, const WorkerCkptImage& b) {
-              return a.index < b.index;
-            });
-  // Install: the harvested images move into the snapshot slot, replacing
+  // Install: the collected images move into the snapshot slot, replacing
   // the previous epoch's.
   ckpt_state_ = RuntimeCkptImage{++ckpt_epoch_seq_, std::move(images)};
   telemetry_.ckpt_epochs->Inc();
@@ -726,21 +713,12 @@ bool Runtime::FailoverWorker(std::size_t victim) {
   // the restored state, as a batch popped after a checkpoint capture
   // replays on the captured one.
   Worker& v = *workers_[victim];
-  for (const WorkerCkptImage& wi : ckpt_state_->workers) {
-    if (wi.index == victim) {
-      std::lock_guard<std::mutex> lock(v.mu);
-      const std::uint64_t mismatches_before = v.isolated.restore_mismatches();
-      (void)v.isolated.RestoreStages(wi.stages);
-      // Name-keyed restore refuses (and counts) images whose stage the
-      // pipeline does not have — surface that as a runtime counter so a
-      // schedule/shape drift between checkpoint and restore is visible.
-      const std::uint64_t refused =
-          v.isolated.restore_mismatches() - mismatches_before;
-      if (refused > 0) {
-        telemetry_.ckpt_restore_mismatches->Add(refused);
-      }
-      break;
-    }
+  const WorkerCkptImage& slice = ckpt_state_->workers[victim];
+  LINSYS_ASSERT(slice.index == victim,
+                "snapshot images are stored in worker order");
+  {
+    std::lock_guard<std::mutex> lock(v.mu);
+    (void)v.isolated.RestoreStages(slice.stages);
   }
   // Exemplar: the victim's most recent flow — the flow a scraper should
   // pull up to see what client work sat closest to the failover.
@@ -769,7 +747,6 @@ RuntimeStats Runtime::Stats() const {
   s.ckpt_epoch_failures = telemetry_.ckpt_epoch_failures->Value();
   s.failovers = telemetry_.failovers->Value();
   s.failover_failures = telemetry_.failover_failures->Value();
-  s.ckpt_restore_mismatches = telemetry_.ckpt_restore_mismatches->Value();
   s.ckpt_pause_cycles = telemetry_.ckpt_pause_cycles->Snapshot();
   s.failover_resync_cycles = telemetry_.failover_resync_cycles->Snapshot();
   // One consistent histogram snapshot for the whole stats call: buckets are

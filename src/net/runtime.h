@@ -136,9 +136,10 @@ struct RuntimeConfig {
   PipelineSchedule schedule;
   CkptConfig ckpt;
   // Live ops endpoint (obs::OpsServer): started with the runtime when
-  // enabled, serving /metrics, /metrics/delta, /trace, /healthz from this
-  // runtime's registry while it runs. Off by default — then no thread, no
-  // socket, and no new dispatch-path work beyond the batch cycle stamp.
+  // ops.unix_path is set, serving /metrics, /metrics/delta, /trace,
+  // /healthz from this runtime's registry while it runs. Off by default —
+  // then no thread, no socket, and no new dispatch-path work beyond the
+  // batch cycle stamp.
   obs::OpsServerConfig ops;
 };
 
@@ -207,9 +208,6 @@ struct RuntimeStats {
   std::uint64_t ckpt_epoch_failures = 0;
   std::uint64_t failovers = 0;            // completed worker failovers
   std::uint64_t failover_failures = 0;    // failovers with no snapshot yet
-  // Stage images a restore refused because they named a stage the pipeline
-  // does not have (checkpoint taken under a different pipeline shape).
-  std::uint64_t ckpt_restore_mismatches = 0;
   obs::HistogramSnapshot ckpt_pause_cycles;      // per-worker quiesce pause
   obs::HistogramSnapshot failover_resync_cycles; // per completed failover
   util::Samples packets_per_worker;    // load distribution across shards
@@ -279,10 +277,11 @@ class Runtime {
     const std::uint64_t t0 = armed ? util::CycleStart() : 0;
     try {
       rss_.Dispatch(std::move(batch));
-    } catch (const util::PanicError&) {
-      // An injected channel.send fault: the not-yet-sent shares died with
-      // the unwind (flow descriptors only, no packet buffers) and their
-      // rings are untouched — count it and refuse the batch.
+    } catch (...) {
+      // An injected channel.send fault, or a failed allocation of the
+      // steering buffers: the not-yet-sent shares died with the unwind
+      // (flow descriptors only, no packet buffers) and their rings are
+      // untouched — count it and refuse the batch.
       telemetry_.dispatch_faults->Inc();
       return false;
     }
@@ -364,10 +363,13 @@ class Runtime {
     // counters live in the runtime's registry, sharded by worker index.)
     std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> heartbeat{0};
-    // Checkpoint-epoch cursor, touched only by the owning worker thread: the
-    // last ckpt_gen_ this worker captured for. A mismatch at a batch
-    // boundary triggers MaybeCaptureCheckpoint.
-    std::uint64_t ckpt_seen_gen = 0;
+    // Checkpoint deposit slot, guarded by ckpt_mu_: the ckpt_gen_ this
+    // worker last captured for, and that capture's stage images (moved out
+    // by CheckpointLive). Only the owning worker writes `ckpt_gen`, so it
+    // also reads it unlocked; a mismatch with ckpt_gen_ at a batch boundary
+    // triggers MaybeCaptureCheckpoint.
+    std::uint64_t ckpt_gen = 0;
+    std::vector<StageImage> ckpt_stages;
     // Flow id of the most recent batch this worker processed — the exemplar
     // attached to its checkpoint pause sample (which flow paid the pause)
     // and to the failover counter (the failover driver reads it from its own
@@ -394,7 +396,6 @@ class Runtime {
     obs::Counter* ckpt_epoch_failures = nullptr;
     obs::Counter* failovers = nullptr;
     obs::Counter* failover_failures = nullptr;
-    obs::Counter* ckpt_restore_mismatches = nullptr;
     obs::Counter* worker_parks = nullptr;    // park path only, per worker
     obs::Counter* dispatch_waits = nullptr;  // park path only
     obs::Gauge* queue_depth = nullptr;
@@ -463,17 +464,17 @@ class Runtime {
 
   // Live-checkpoint epoch state. ckpt_driver_mu_ serializes CheckpointLive
   // with FailoverWorker (one driver at a time). The epoch protocol itself:
-  // the driver bumps ckpt_gen_; each worker compares ckpt_gen_ to its
-  // thread-local cursor at batch boundaries, captures, and deposits a
-  // (gen, image) pair into ckpt_pending_ under ckpt_mu_; the driver collects
-  // until all workers deposited for the current gen or the quiesce timeout
-  // passes. Deposits carry the gen so a straggler from an abandoned epoch can
-  // never pollute the next one. No flow changes workers, so the per-worker
-  // captures need no fence to be mutually consistent.
+  // CheckpointLive bumps ckpt_gen_; each worker compares ckpt_gen_ to its
+  // slot's gen at batch boundaries, captures, and overwrites its own
+  // deposit slot (Worker::ckpt_gen/ckpt_stages) under ckpt_mu_;
+  // CheckpointLive waits until every slot carries the current gen or the
+  // quiesce timeout passes. A straggler from an abandoned epoch carries an
+  // older gen, so it can never stand in for the next one: it is simply
+  // overwritten. No flow changes workers, so the per-worker captures need
+  // no fence to be mutually consistent.
   std::mutex ckpt_driver_mu_;
   std::mutex ckpt_mu_;
   std::condition_variable ckpt_cv_;
-  std::vector<std::pair<std::uint64_t, WorkerCkptImage>> ckpt_pending_;
   std::atomic<std::uint64_t> ckpt_gen_{0};
   std::uint64_t ckpt_epoch_seq_ = 0;  // under ckpt_driver_mu_
   // The last installed snapshot; empty until the first successful epoch.

@@ -1,7 +1,5 @@
 #include "src/obs/ops_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -112,9 +110,9 @@ bool OpsServer::Start(std::string* error) {
     }
     return false;
   }
-  if (config_.unix_path.empty() && config_.tcp_port < 0) {
+  if (config_.unix_path.empty()) {
     if (error != nullptr) {
-      *error = "ops server has no listener configured";
+      *error = "ops server needs a unix socket path";
     }
     return false;
   }
@@ -127,55 +125,27 @@ bool OpsServer::Start(std::string* error) {
     return false;
   };
 
-  if (!config_.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (config_.unix_path.size() >= sizeof(addr.sun_path)) {
-      if (error != nullptr) {
-        *error = "unix socket path too long: " + config_.unix_path;
-      }
-      return false;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  if (config_.unix_path.size() >= sizeof(addr.sun_path)) {
+    if (error != nullptr) {
+      *error = "unix socket path too long: " + config_.unix_path;
     }
-    std::memcpy(addr.sun_path, config_.unix_path.c_str(),
-                config_.unix_path.size() + 1);
-    unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (unix_fd_ < 0) {
-      return fail("socket(AF_UNIX)");
-    }
-    ::unlink(config_.unix_path.c_str());  // stale socket from a dead run
-    if (::bind(unix_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return fail("bind(" + config_.unix_path + ")");
-    }
-    if (::listen(unix_fd_, 16) != 0) {
-      return fail("listen(" + config_.unix_path + ")");
-    }
+    return false;
   }
-
-  if (config_.tcp_port >= 0) {
-    tcp_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcp_fd_ < 0) {
-      return fail("socket(AF_INET)");
-    }
-    const int one = 1;
-    ::setsockopt(tcp_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // loopback only, always
-    addr.sin_port = htons(static_cast<std::uint16_t>(config_.tcp_port));
-    if (::bind(tcp_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      return fail("bind(127.0.0.1:" + std::to_string(config_.tcp_port) + ")");
-    }
-    if (::listen(tcp_fd_, 16) != 0) {
-      return fail("listen(tcp)");
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(tcp_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-        0) {
-      bound_tcp_port_ = ntohs(bound.sin_port);
-    }
+  std::memcpy(addr.sun_path, config_.unix_path.c_str(),
+              config_.unix_path.size() + 1);
+  unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (unix_fd_ < 0) {
+    return fail("socket(AF_UNIX)");
+  }
+  ::unlink(config_.unix_path.c_str());  // stale socket from a dead run
+  if (::bind(unix_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+      0) {
+    return fail("bind(" + config_.unix_path + ")");
+  }
+  if (::listen(unix_fd_, 16) != 0) {
+    return fail("listen(" + config_.unix_path + ")");
   }
 
   stop_.store(false, std::memory_order_release);
@@ -195,10 +165,6 @@ void OpsServer::Stop() {
     unix_fd_ = -1;
     ::unlink(config_.unix_path.c_str());
   }
-  if (tcp_fd_ >= 0) {
-    ::close(tcp_fd_);
-    tcp_fd_ = -1;
-  }
 }
 
 void OpsServer::Serve() {
@@ -206,29 +172,16 @@ void OpsServer::Serve() {
   // accept() is not a reliable wakeup on Linux, so the stop path just flips
   // stop_ and the loop notices within one poll interval.
   while (!stop_.load(std::memory_order_acquire)) {
-    pollfd fds[2];
-    nfds_t nfds = 0;
-    if (unix_fd_ >= 0) {
-      fds[nfds++] = {unix_fd_, POLLIN, 0};
-    }
-    if (tcp_fd_ >= 0) {
-      fds[nfds++] = {tcp_fd_, POLLIN, 0};
-    }
-    const int ready = ::poll(fds, nfds, 100);
-    if (ready <= 0) {
+    pollfd pfd{unix_fd_, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) <= 0 || (pfd.revents & POLLIN) == 0) {
       continue;  // timeout or EINTR: re-check stop_
     }
-    for (nfds_t i = 0; i < nfds; ++i) {
-      if ((fds[i].revents & POLLIN) == 0) {
-        continue;
-      }
-      const int conn = ::accept(fds[i].fd, nullptr, nullptr);
-      if (conn < 0) {
-        continue;
-      }
-      HandleConnection(conn);
-      ::close(conn);
+    const int conn = ::accept(unix_fd_, nullptr, nullptr);
+    if (conn < 0) {
+      continue;
     }
+    HandleConnection(conn);
+    ::close(conn);
   }
 }
 

@@ -4,9 +4,9 @@
 // Everything obs:: collects was, until now, export-at-exit: the bench
 // harness scrapes the registry and dumps the tracer after Shutdown. The ops
 // server turns the same data into a live surface — point obs_scrape (or
-// curl --unix-socket, or a browser via the TCP loopback option) at a running
-// fault_storm and watch faults, quarantines, checkpoint epochs, and the SLO
-// latency histogram move while the mechanisms fire.
+// curl --unix-socket) at a running fault_storm and watch faults,
+// quarantines, checkpoint epochs, and the SLO latency histogram move while
+// the mechanisms fire.
 //
 // Endpoints (GET only, HTTP/1.0, Connection: close):
 //
@@ -26,14 +26,13 @@
 //                   Workers keep running; only the scrape connection waits.
 //   /healthz        Runtime lifecycle JSON from the owner's health callback.
 //
-// Transport is a unix domain socket by default (no port management, file
-// permissions as ACL); optional TCP on 127.0.0.1 for browser access. The
-// server is one thread, serving connections serially — scrapes are
-// checkpoint-scale events (milliseconds, mutex + allocation), not packet
-// work, and a serial loop keeps the server trivially correct; concurrent
-// clients queue on the listen backlog. Malformed, oversized, or stalled
-// requests get a 4xx and a closed connection, never a crash — the server
-// must survive anything a debugging human types at it.
+// Transport is a unix domain socket (no port management, file permissions
+// as ACL). The server is one thread, serving connections serially —
+// scrapes are checkpoint-scale events (milliseconds, mutex + allocation),
+// not packet work, and a serial loop keeps the server trivially correct;
+// concurrent clients queue on the listen backlog. Malformed, oversized, or
+// stalled requests get a 4xx and a closed connection, never a crash — the
+// server must survive anything a debugging human types at it.
 //
 // Layering: obs:: stays at the bottom of the stack — this file uses POSIX
 // sockets and obs:: only. The runtime (or an example) owns the server,
@@ -56,13 +55,9 @@ namespace obs {
 class Profiler;
 
 struct OpsServerConfig {
-  bool enabled = false;
   // Unix-domain socket path; unlinked and re-bound on Start, unlinked again
-  // on Stop. Ignored when empty (then tcp_port must be set).
+  // on Stop. Start refuses an empty path.
   std::string unix_path;
-  // TCP loopback listener on 127.0.0.1: -1 = off (default), 0 = ephemeral
-  // (see OpsServer::tcp_port() for the kernel's choice), >0 = fixed port.
-  int tcp_port = -1;
   // Histogram whose per-interval quantiles become the "slo" summary in
   // /metrics/delta responses.
   std::string slo_metric = "runtime.delivery_latency_cycles";
@@ -87,20 +82,16 @@ class OpsServer {
   OpsServer(const OpsServer&) = delete;
   OpsServer& operator=(const OpsServer&) = delete;
 
-  // Binds the configured listeners and spawns the serving thread. Returns
-  // false (with *error set) on bind/listen failure; the process keeps
-  // running — an unobservable service beats a dead one.
+  // Binds the socket and spawns the serving thread. Returns false (with
+  // *error set) on bind/listen failure; the process keeps running — an
+  // unobservable service beats a dead one.
   bool Start(std::string* error);
 
-  // Closes the listeners and joins the thread. Idempotent; called from the
+  // Closes the socket and joins the thread. Idempotent; called from the
   // destructor as a backstop.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
-
-  // Kernel-chosen port when tcp_port was requested as ephemeral (0 until
-  // Start succeeds with a TCP listener).
-  std::uint16_t tcp_port() const { return bound_tcp_port_; }
 
   // Total requests served (any status), for tests and idle-cost checks.
   std::uint64_t requests_served() const {
@@ -119,8 +110,6 @@ class OpsServer {
   OpsServerConfig config_;
   Hooks hooks_;
   int unix_fd_ = -1;
-  int tcp_fd_ = -1;
-  std::uint16_t bound_tcp_port_ = 0;
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};

@@ -1,17 +1,55 @@
 // Cross-module integration: checkpointing live network-function state — the
 // "rollback-recovery for middleboxes" consumer the paper cites (§5) — plus
-// the container traits (pair/map/unordered_map) it relies on.
+// the container traits (pair/map/unordered_map) it relies on, the
+// allocation count of a stage's capture, and seeded decode fuzzing of real
+// checkpoint bytes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <map>
+#include <memory>
+#include <new>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/ckpt/checkpoint.h"
+#include "src/ckpt/trie.h"
+#include "src/net/maglev.h"
 #include "src/net/mempool.h"
+#include "src/net/operators/conntrack.h"
 #include "src/net/operators/nat.h"
 #include "src/net/pktgen.h"
+#include "src/net/runtime.h"
+#include "src/util/panic.h"
+#include "src/util/rng.h"
+
+// Heap allocations made by threads that set g_count_allocs: this binary
+// replaces the global operator new so a stage's capture can be held to the
+// Writer's own growth.
+namespace {
+thread_local bool g_count_allocs = false;
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocs) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Kept out of line: inlined into a caller, GCC pairs the free() with the
+// new-expression and warns (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace ckpt {
 namespace {
@@ -85,7 +123,7 @@ TEST(NatRollback, CheckpointRestorePreservesMappings) {
   out.Clear();
 
   // Checkpoint, then fail over to a blank replacement NAT.
-  Snapshot snap = Checkpoint(NatSnapshot{nat.ExportState()});
+  Snapshot snap = Checkpoint(NatSnapshot{nat.state()});
   net::NatRewrite replacement(0);
   replacement.ImportState(Restore<NatSnapshot>(snap).state);
   EXPECT_EQ(replacement.flow_count(), flows_before);
@@ -112,7 +150,7 @@ TEST(NatRollback, NewFlowsAfterRestoreGetFreshPorts) {
   net::NatRewrite nat(0x05050505);
   (void)nat.Process(MakeTraffic(pool, 3, 100));
 
-  Snapshot snap = Checkpoint(NatSnapshot{nat.ExportState()});
+  Snapshot snap = Checkpoint(NatSnapshot{nat.state()});
   net::NatRewrite restored(0);
   restored.ImportState(Restore<NatSnapshot>(snap).state);
 
@@ -121,6 +159,198 @@ TEST(NatRollback, NewFlowsAfterRestoreGetFreshPorts) {
   EXPECT_GT(restored.flow_count(), before)
       << "port allocator state (next_port) must survive the snapshot";
 }
+
+// Heap allocations `stage.SaveState` makes into a fresh Writer.
+std::uint64_t SaveAllocs(const net::CkptStage& stage) {
+  Writer w(DedupMode::kLinearMark, NextEpoch());
+  const std::uint64_t before = g_allocs.load();
+  g_count_allocs = true;
+  stage.SaveState(w);
+  g_count_allocs = false;
+  EXPECT_GT(w.Finish().size_bytes(), 0u);
+  return g_allocs.load() - before;
+}
+
+// A capture serializes the operator's live table in place: only the
+// Writer's buffer grows (by doubling), where a copy of the table first
+// would allocate once per flow.
+TEST(StageCapture, SaveStateAllocatesOnlyTheWritersGrowth) {
+  constexpr std::uint64_t kFlows = 4096;
+  net::NatRewrite::State nat_state;
+  net::MaglevConnTrack::State ct_state;
+  for (std::uint64_t i = 0; i < kFlows; ++i) {
+    nat_state.flow_ports.emplace(i * 0x9e3779b97f4a7c15ULL,
+                                 static_cast<std::uint16_t>(20000 + i));
+    ct_state.flows.emplace(i * 0x9e3779b97f4a7c15ULL,
+                           static_cast<std::uint32_t>(0x0a000000 + i % 4));
+  }
+  net::NatRewrite nat(0x05050505);
+  nat.ImportState(std::move(nat_state));
+  net::MaglevConnTrack ct(net::Maglev({"b0", "b1", "b2", "b3"}, 1009),
+                          {0x0a000000, 0x0a000001, 0x0a000002, 0x0a000003});
+  ct.ImportState(std::move(ct_state));
+  ASSERT_EQ(nat.flow_count(), kFlows);
+  ASSERT_EQ(ct.flow_count(), kFlows);
+  EXPECT_LT(SaveAllocs(nat), 64u);
+  EXPECT_LT(SaveAllocs(ct), 64u);
+}
+
+// ---- Seeded decode fuzzing -------------------------------------------------
+//
+// Real snapshots — a shared-rule trie in each dedup mode, a NAT State and a
+// two-worker runtime image — are corrupted by seed (flipped bytes, a
+// truncation, or a length/id field overwritten with a large value) and
+// decoded. Decoding must return or panic with util::PanicError: no crash,
+// no other exception (std::length_error, std::bad_alloc, bad_any_cast).
+
+RuleTrie SharedRuleTrie() {
+  util::Rng rng(5);
+  RuleTrie trie;
+  for (std::uint64_t r = 0; r < 8; ++r) {
+    FwRule rule;
+    rule.id = r;
+    rule.dst_port_lo = static_cast<std::uint16_t>(rng.Below(1000));
+    RulePtr shared = RulePtr::Make(rule);
+    for (int a = 0; a < 4; ++a) {
+      trie.Insert(rng.NextU32() & 0xffff0000u, 16, shared);
+    }
+  }
+  return trie;
+}
+
+net::NatRewrite::State NatState() {
+  net::NatRewrite::State state{0x05050505, 20064, {}, 300};
+  for (std::uint16_t i = 0; i < 64; ++i) {
+    state.flow_ports.emplace(0x9e3779b97f4a7c15ULL * (i + 1),
+                             static_cast<std::uint16_t>(20000 + i));
+  }
+  return state;
+}
+
+// A live checkpoint of a two-worker NAT runtime that has seen traffic.
+net::RuntimeCkptImage RuntimeImage() {
+  net::RuntimeConfig cfg;
+  cfg.workers = 2;
+  cfg.ckpt.enabled = true;
+  std::vector<net::StageSpec> spec;
+  spec.push_back({"nat", [](std::size_t) {
+                    return std::make_unique<net::NatRewrite>(0x0a000001);
+                  }});
+  net::Runtime rt(cfg, spec);
+  rt.Start();
+  net::FlowSampler sampler(32, 0.0, 17);
+  net::FlowFeeder feeder(&sampler);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_TRUE(rt.Dispatch(feeder.Next(16)));
+  }
+  EXPECT_TRUE(rt.CheckpointLive());
+  net::RuntimeCkptImage image = rt.CheckpointImageCopy();
+  rt.Shutdown();
+  return image;
+}
+
+// Offsets of 8-byte fields holding a small nonzero value: in these images
+// those are the element counts, lengths, copy-ids and indices (flow keys
+// are large).
+std::vector<std::size_t> SmallFields(const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::size_t> at;
+  for (std::size_t i = 0; i + 8 <= bytes.size(); ++i) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + i, sizeof(v));
+    if (v != 0 && v < (1u << 20)) {
+      at.push_back(i);
+    }
+  }
+  return at;
+}
+
+Snapshot Corrupt(const Snapshot& clean, util::Rng& rng) {
+  Snapshot snap = clean;
+  std::vector<std::uint8_t>& b = snap.bytes;
+  switch (rng.Below(3)) {
+    case 0: {  // flip 1-4 bytes
+      const std::uint64_t flips = 1 + rng.Below(4);
+      for (std::uint64_t k = 0; k < flips; ++k) {
+        b[rng.Below(b.size())] ^= static_cast<std::uint8_t>(1 + rng.Below(255));
+      }
+      break;
+    }
+    case 1:  // truncate
+      b.resize(rng.Below(b.size()));
+      break;
+    case 2: {  // a length or id field becomes large
+      static constexpr std::uint64_t kLarge[] = {
+          1ULL << 20, 1ULL << 32, 1ULL << 61, ~0ULL, ~0ULL / 3};
+      const std::vector<std::size_t> fields = SmallFields(b);
+      if (!fields.empty()) {
+        const std::uint64_t v = kLarge[rng.Below(std::size(kLarge))];
+        std::memcpy(b.data() + fields[rng.Below(fields.size())], &v,
+                    sizeof(v));
+      }
+      break;
+    }
+  }
+  return snap;
+}
+
+// Decodes `snap` as a T, then runs `inner` on the result; true when both
+// returned, false when either panicked. Any other exception fails the test.
+template <typename T, typename Inner>
+bool DecodesOrPanics(const Snapshot& snap, const char* what, Inner inner) {
+  try {
+    inner(Restore<T>(snap));
+    return true;
+  } catch (const util::PanicError&) {
+    return false;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what << ": escaped as " << e.what();
+    return false;
+  }
+}
+
+class DecodeFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DecodeFuzz, CorruptSnapshotsReturnOrPanic) {
+  static const RuleTrie trie = SharedRuleTrie();
+  static const Snapshot tries[] = {Checkpoint(trie, DedupMode::kLinearMark),
+                                   Checkpoint(trie, DedupMode::kAddressSet),
+                                   Checkpoint(trie, DedupMode::kNone)};
+  static const Snapshot nat = Checkpoint(NatState());
+  static const Snapshot image = Checkpoint(RuntimeImage());
+  const auto ignore = [](auto&&) {};
+  // The image's stage bytes are NAT States: decode them too, so a corrupt
+  // image reaches the inner decoder as failover's restore would.
+  const auto stages = [](const net::RuntimeCkptImage& img) {
+    for (const net::WorkerCkptImage& w : img.workers) {
+      for (const net::StageImage& st : w.stages) {
+        Reader r(st.bytes);
+        (void)Traits<net::NatRewrite::State>::Load(r);
+      }
+    }
+  };
+  // The clean inputs decode.
+  for (const Snapshot& t : tries) {
+    ASSERT_TRUE((DecodesOrPanics<RuleTrie>(t, "clean trie", ignore)));
+  }
+  ASSERT_TRUE(
+      (DecodesOrPanics<net::NatRewrite::State>(nat, "clean nat", ignore)));
+  ASSERT_TRUE((DecodesOrPanics<net::RuntimeCkptImage>(image, "clean image",
+                                                      stages)));
+
+  util::Rng rng(GetParam());
+  for (int round = 0; round < 40; ++round) {
+    for (const Snapshot& t : tries) {
+      (void)DecodesOrPanics<RuleTrie>(Corrupt(t, rng), "trie", ignore);
+    }
+    (void)DecodesOrPanics<net::NatRewrite::State>(Corrupt(nat, rng), "nat",
+                                                  ignore);
+    (void)DecodesOrPanics<net::RuntimeCkptImage>(Corrupt(image, rng), "image",
+                                                 stages);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DecodeFuzz,
+                         ::testing::Range<std::uint64_t>(1, 33));
 
 }  // namespace
 }  // namespace ckpt

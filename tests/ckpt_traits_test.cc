@@ -261,6 +261,63 @@ TEST(Snapshot, WrongTypeBackReferencePanics) {
   EXPECT_THROW((void)Restore<Mixed>(snap), util::PanicError);
 }
 
+// Copy-ids are dense in stream order: a first copy must carry the next id,
+// and a back-reference must name a node whose payload is already built.
+// Anything else is a corrupt snapshot.
+TEST(Snapshot, CopyIdOutOfOrderPanics) {
+  Writer skip(DedupMode::kLinearMark, NextEpoch());
+  skip.WritePod(internal::RcTag::kNew);
+  skip.WritePod<std::uint64_t>(2);  // the first copy must be id 1
+  skip.WritePod<int>(7);
+  EXPECT_THROW((void)Restore<lin::Rc<int>>(skip.Finish()), util::PanicError);
+
+  // A node whose payload refers back to itself: id 1 is reserved while its
+  // payload loads, but not yet filled.
+  using Nested = lin::Rc<std::vector<lin::Rc<int>>>;
+  Writer self(DedupMode::kLinearMark, NextEpoch());
+  self.WritePod(internal::RcTag::kNew);
+  self.WritePod<std::uint64_t>(1);
+  self.WritePod<std::uint64_t>(1);  // one element
+  self.WritePod(internal::RcTag::kRef);
+  self.WritePod<std::uint64_t>(1);
+  EXPECT_THROW((void)Restore<Nested>(self.Finish()), util::PanicError);
+}
+
+// Ids are taken per first visit only, so a graph with back-references gets
+// ids 1, 2, 3, ... in stream order in both dedup modes.
+TEST(Snapshot, CopyIdsAreDenseInBothDedupModes) {
+  auto a = lin::Rc<int>::Make(1);
+  auto b = lin::Rc<int>::Make(2);
+  const std::vector<lin::Rc<int>> v{a, a, b, a, b};
+  for (DedupMode mode : {DedupMode::kLinearMark, DedupMode::kAddressSet}) {
+    const Snapshot snap = Checkpoint(v, mode);
+    Reader r(snap);
+    ASSERT_EQ(r.ReadPod<std::uint64_t>(), v.size());
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      const auto tag = r.ReadPod<internal::RcTag>();
+      ids.push_back(r.ReadPod<std::uint64_t>());
+      if (tag == internal::RcTag::kNew) {
+        (void)r.ReadPod<int>();
+      }
+    }
+    EXPECT_EQ(ids, (std::vector<std::uint64_t>{1, 1, 2, 1, 2}));
+    const auto back = Restore<std::vector<lin::Rc<int>>>(snap);
+    EXPECT_TRUE(back[0].SameObject(back[3]));
+    EXPECT_TRUE(back[2].SameObject(back[4]));
+  }
+}
+
+// A bool is one byte, 0 or 1. The seeded decode fuzzing found a flipped
+// FwRule::allow byte loaded as a bool, which is undefined behaviour.
+TEST(Snapshot, BoolOutOfRangePanics) {
+  Writer w(DedupMode::kLinearMark, NextEpoch());
+  w.WritePod<std::uint8_t>(20);
+  EXPECT_THROW((void)Restore<bool>(w.Finish()), util::PanicError);
+  EXPECT_TRUE(Restore<bool>(Checkpoint(true)));
+  EXPECT_FALSE(Restore<bool>(Checkpoint(false)));
+}
+
 TEST(Snapshot, TrailingBytesPanics) {
   Snapshot snap = Checkpoint(7);
   snap.bytes.push_back(0xff);

@@ -3,7 +3,8 @@
 // idle runtime, a checkpoint + forced failover under live traffic loses
 // zero packets (the exactly-once invariant), failover restores stage state
 // from the snapshot and replays the victim's queued flows on it, a
-// one-worker runtime fails over onto its own snapshot, degraded
+// one-worker runtime fails over onto its own snapshot, a late capture from
+// an abandoned epoch never stands in for the next one, degraded
 // (quarantined) pipelines round-trip, and neither an epoch nor a failover
 // re-serializes the installed image.
 #include <gtest/gtest.h>
@@ -140,9 +141,7 @@ class DeliveryRecorder : public Operator {
 
 // Decodes a StageImage produced by a NatRewrite stage back into its State.
 NatRewrite::State DecodeNatImage(const StageImage& img) {
-  ckpt::Snapshot snap;
-  snap.bytes.assign(img.bytes.begin(), img.bytes.end());
-  ckpt::Reader reader(snap);
+  ckpt::Reader reader(img.bytes);
   return ckpt::Traits<NatRewrite::State>::Load(reader);
 }
 
@@ -410,6 +409,76 @@ TEST_F(CkptRuntimeTest, FailoverReplaysQueuedFlowsOnTheVictimsRestoredState) {
     ++checked;
   }
   EXPECT_EQ(checked, queued + 1) << rt.Stats().Summary();
+}
+
+// An epoch abandoned at the quiesce timeout leaves a late capture behind:
+// worker 0, held in a batch past the timeout, captures for the abandoned
+// epoch at its next batch boundary, before it learns new flows. That
+// capture must not stand in for the next epoch's: worker 0's next image
+// holds the flows it learned after.
+TEST_F(CkptRuntimeTest, LateCaptureOfAnAbandonedEpochIsNotInstalled) {
+  GateStage::Shared gate;
+  std::vector<StageSpec> spec;
+  spec.push_back({"gate", [&gate](std::size_t w) {
+                    return std::make_unique<GateStage>(w, &gate);
+                  }});
+  spec.push_back({"nat", [](std::size_t) {
+                    return std::make_unique<NatRewrite>(0x0a000001);
+                  }});
+  Runtime rt(CkptConfigFor(2), spec);
+  rt.Start();
+
+  // Flows homed on worker 0: one holds it in the gate, the rest arrive
+  // after the abandoned epoch.
+  std::vector<FiveTuple> later;
+  for (const FiveTuple& t : FlowsFrom(2000, 64)) {
+    if (rt.WorkerFor(t) == 0) {
+      later.push_back(t);
+    }
+  }
+  ASSERT_GE(later.size(), 4u);
+  const FiveTuple held = later.back();
+  later.pop_back();
+
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.hold = true;
+  }
+  ASSERT_TRUE(rt.Dispatch(BatchOf({held}, 0)));
+  std::uint64_t dispatched = 1;
+  bool entered = false;
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    entered = gate.cv.wait_for(lock, std::chrono::seconds(2),
+                               [&gate] { return gate.entered; });
+  }
+  // Worker 0 stays in the gate past the quiesce timeout. No ASSERT until
+  // the gate opens: returning early would leave worker 0 held.
+  const bool held_epoch = rt.CheckpointLive();
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.hold = false;
+  }
+  gate.cv.notify_all();
+  ASSERT_TRUE(entered) << "worker 0 never reached the gate";
+  EXPECT_FALSE(held_epoch) << "the held worker cannot reach a boundary";
+
+  ASSERT_TRUE(rt.Dispatch(BatchOf(later, 0)));
+  dispatched += later.size();
+  ASSERT_TRUE(DrainTo(rt, dispatched));
+  ASSERT_TRUE(rt.CheckpointLive());
+  const NatRewrite::State slice =
+      DecodeNatImage(rt.CheckpointImageCopy().workers.at(0).stages.at(1));
+  rt.Shutdown();
+
+  for (const FiveTuple& t : later) {
+    EXPECT_EQ(slice.flow_ports.count(t.Hash()), 1u)
+        << "worker 0's image predates flow " << t.dst_port;
+  }
+  EXPECT_EQ(slice.flow_ports.size(), later.size() + 1);
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_EQ(stats.ckpt_epochs, 1u);
+  EXPECT_EQ(stats.ckpt_epoch_failures, 1u);
 }
 
 // A pipeline with a quarantined stage still checkpoints: the degraded

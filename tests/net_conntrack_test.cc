@@ -144,7 +144,7 @@ TEST(ConnTrack, StateExportImportRoundTrip) {
   (void)primary.Process(Traffic(pool, 6, 256));
 
   MaglevConnTrack standby(Maglev(Names(4), 1009), Ips(4));
-  standby.ImportState(primary.ExportState());
+  standby.ImportState(primary.state());
   EXPECT_EQ(standby.flow_count(), primary.flow_count());
 
   // Failover: the standby serves existing flows from the table (all hits).

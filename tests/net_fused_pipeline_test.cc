@@ -26,6 +26,7 @@
 #include "src/net/runtime.h"
 #include "src/net/schedule.h"
 #include "src/util/fault_injector.h"
+#include "src/util/panic.h"
 
 namespace net {
 namespace {
@@ -188,11 +189,11 @@ TEST(FusedPipeline, CrashLoopingMemberSplitsOutOfItsGroup) {
   EXPECT_EQ(pipe.health(1).passthrough_batches, 1u);
 }
 
-// Checkpoint-image compatibility rule: images are per-operator and keyed by
-// stage name, so a checkpoint captured under one schedule restores into any
-// other — and an image naming an unknown stage is refused and counted, not
-// a process abort (the old shape assert).
-TEST(FusedPipeline, CheckpointsRestoreAcrossSchedulesByName) {
+// Checkpoint-image compatibility rule: images are per-operator in add
+// order whatever the fusion, so a checkpoint captured under one schedule
+// restores into any other — and an image from another pipeline (a stage
+// renamed or missing) panics instead of restoring into the wrong stage.
+TEST(FusedPipeline, CheckpointsRestoreAcrossSchedules) {
   Mempool pool(256, 2048);
   auto build = [](IsolatedPipeline& pipe) {
     pipe.AddStage("ttl", [] { return std::make_unique<TtlDecrement>(); });
@@ -211,7 +212,6 @@ TEST(FusedPipeline, CheckpointsRestoreAcrossSchedulesByName) {
   build(fused);
   fused.ApplySchedule(ResolveSchedule(PipelineSchedule().Fuse(0, 1), 2));
   EXPECT_EQ(fused.RestoreStages(images), 1u) << "nat state reloads";
-  EXPECT_EQ(fused.restore_mismatches(), 0u);
 
   // Same flows through the restored fused pipeline: NAT must reuse the
   // interpreted run's port allocations (state really crossed schedules).
@@ -224,12 +224,13 @@ TEST(FusedPipeline, CheckpointsRestoreAcrossSchedulesByName) {
               NetToHost16(a.value()[i].udp()->src_port));
   }
 
-  // A stale image from a renamed/removed stage: refused, counted, the rest
-  // still restores — never LINSYS_ASSERT.
-  std::vector<StageImage> stale = images;
-  stale[1].name = "nat-v2";
-  EXPECT_EQ(fused.RestoreStages(stale), 0u);
-  EXPECT_EQ(fused.restore_mismatches(), 1u);
+  // An image from another pipeline: a renamed stage, or one stage short.
+  std::vector<StageImage> renamed = images;
+  renamed[1].name = "nat-v2";
+  EXPECT_THROW(fused.RestoreStages(renamed), util::PanicError);
+  std::vector<StageImage> short_one = images;
+  short_one.pop_back();
+  EXPECT_THROW(fused.RestoreStages(short_one), util::PanicError);
 }
 
 // --- Runtime differential (the TSan case) --------------------------------
@@ -355,8 +356,8 @@ TEST_F(FusedRuntimeTest, FaultInFusedGroupQuarantinesOnlyTheMember) {
 }
 
 // Live checkpoint + failover with a fused schedule: per-operator images are
-// captured through the group rref, restored by name into the fused replica,
-// and the exactly-once ledger holds across the failover.
+// captured through the group rref, restored by position into the fused
+// replica, and the exactly-once ledger holds across the failover.
 TEST_F(FusedRuntimeTest, FusedCheckpointFailoverConserves) {
   RuntimeConfig cfg;
   cfg.workers = 2;
@@ -396,8 +397,6 @@ TEST_F(FusedRuntimeTest, FusedCheckpointFailoverConserves) {
 
   const RuntimeStats s = rt.Stats();
   EXPECT_EQ(s.failovers, 1u);
-  EXPECT_EQ(s.ckpt_restore_mismatches, 0u)
-      << "same schedule, same names: nothing to refuse";
   EXPECT_EQ(s.totals.packets + s.totals.drops + s.steer_dropped_items,
             dispatched)
       << s.Summary();

@@ -1,6 +1,7 @@
 // RSS dispatcher: flow-to-worker affinity, item conservation across the
 // slot-ring handoff, counter semantics, backpressure and parking on full and
-// empty rings, shutdown racing dispatch, and an allocation-free steady state.
+// empty rings, shutdown racing dispatch, an allocation-free steady state,
+// and a failed allocation contained on the dispatch and worker paths.
 #include "src/net/rss.h"
 
 #include <gtest/gtest.h>
@@ -22,19 +23,28 @@
 #include "src/net/pktgen.h"
 #include "src/net/runtime.h"  // FlowFeeder
 #include "src/obs/metrics.h"
+#include "src/util/fault_injector.h"
 #include "src/util/panic.h"
 
 // Heap allocations made by threads that set g_count_allocs: this binary
 // replaces the global operator new so the steady-state dispatch path can be
-// held to zero allocations.
+// held to zero allocations. It also fails one allocation on demand: set
+// g_bad_alloc_tag to a FaultInjector thread tag, and the next allocation on
+// the thread carrying that tag throws std::bad_alloc.
 namespace {
 thread_local bool g_count_allocs = false;
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<const char*> g_bad_alloc_tag{nullptr};
 }  // namespace
 
 void* operator new(std::size_t n) {
   if (g_count_allocs) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  const char* tag = g_bad_alloc_tag.load(std::memory_order_acquire);
+  if (tag != nullptr && util::FaultInjector::ThreadTag() == tag &&
+      g_bad_alloc_tag.compare_exchange_strong(tag, nullptr)) {
+    throw std::bad_alloc();
   }
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
@@ -523,6 +533,106 @@ TEST(Rss, RuntimeDispatchAllocatesNothingAfterTheFirstLap) {
   rt.Shutdown();
   EXPECT_EQ(rt.Stats().totals.packets, inputs.size() * 32);
   EXPECT_EQ(measured_allocs, 0u);
+}
+
+// Waits (up to 10 s) until every one of `items` dispatched items is
+// processed or counted dropped.
+bool DrainTo(const Runtime& rt, std::uint64_t items) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const RuntimeStats s = rt.Stats();
+    if (s.totals.packets + s.totals.drops + s.steer_dropped_items >= items) {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+// Two workers, one null stage.
+Runtime NullRuntime() {
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  std::vector<StageSpec> spec;
+  spec.push_back(
+      {"null", [](std::size_t) { return std::make_unique<NullFilter>(); }});
+  return Runtime(cfg, spec);
+}
+
+// A failed allocation inside Dispatch — here a fresh producer thread's
+// first call, which sizes its steering buffers — refuses that batch and
+// counts a dispatch fault, as an injected channel.send panic is. The
+// runtime keeps accepting.
+TEST(Rss, RuntimeDispatchContainsBadAlloc) {
+  Runtime rt = NullRuntime();
+  rt.Start();
+  FlowSampler sampler(64, 0.0, 15);
+  FlowFeeder feeder(&sampler);
+  std::vector<FlowBatch> inputs;
+  for (int i = 0; i < 8; ++i) {
+    inputs.push_back(feeder.Next(32));
+  }
+  bool first_accepted = true;
+  std::uint64_t accepted = 0;
+  std::thread producer([&] {
+    util::FaultInjector::SetThreadTag("test.producer");
+    g_bad_alloc_tag.store("test.producer");
+    first_accepted = rt.Dispatch(std::move(inputs[0]));
+    for (std::size_t i = 1; i < inputs.size(); ++i) {
+      accepted += rt.Dispatch(std::move(inputs[i])) ? 32 : 0;
+    }
+  });
+  producer.join();
+  EXPECT_TRUE(DrainTo(rt, accepted));
+  rt.Shutdown();
+
+  EXPECT_EQ(g_bad_alloc_tag.load(), nullptr) << "no allocation failed";
+  EXPECT_FALSE(first_accepted);
+  EXPECT_EQ(accepted, 7u * 32);
+  EXPECT_EQ(
+      rt.registry().GetCounter("runtime.dispatch_faults_total")->Value(), 1u);
+  const RuntimeStats s = rt.Stats();
+  EXPECT_EQ(s.totals.packets + s.totals.drops + s.steer_dropped_items,
+            accepted)
+      << s.Summary();
+}
+
+// A failed allocation on a worker thread — here worker 0's first after
+// arming, the frame batch it materializes a sub-batch into — drops that
+// sub-batch and counts one fault. The worker keeps serving.
+TEST(Rss, RuntimeWorkerContainsBadAlloc) {
+  Runtime rt = NullRuntime();
+  rt.Start();
+  // Armed once worker 0 is parked, past its start-up allocations.
+  obs::Counter* parks = rt.registry().GetCounter("runtime.worker_parks_total");
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (parks->ShardValue(0) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  g_bad_alloc_tag.store("net.worker:0");
+  FlowSampler sampler(64, 0.0, 16);
+  FlowFeeder feeder(&sampler);
+  std::uint64_t dispatched = 0;
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(rt.Dispatch(feeder.Next(32)));
+    dispatched += 32;
+  }
+  EXPECT_TRUE(DrainTo(rt, dispatched));
+  rt.Shutdown();
+  const bool fired = g_bad_alloc_tag.load() == nullptr;
+  g_bad_alloc_tag.store(nullptr);
+
+  EXPECT_TRUE(fired) << "worker 0 never allocated";
+  const RuntimeStats s = rt.Stats();
+  EXPECT_EQ(s.workers[0].faults, 1u);
+  EXPECT_GT(s.workers[0].drops, 0u);
+  EXPECT_GT(s.workers[0].packets, 0u) << "worker 0 stopped serving";
+  EXPECT_EQ(s.totals.packets + s.totals.drops + s.steer_dropped_items,
+            dispatched)
+      << s.Summary();
 }
 
 TEST(Rss, ZeroWorkersRejected) {

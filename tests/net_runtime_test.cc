@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -417,35 +418,44 @@ TEST(Runtime, FlowCorrelatedTraceSpansDispatchWorkersAndRecovery) {
 }
 
 // Wake counters: a worker with nothing to do parks on its empty ring
-// (counted per worker), and a producer that outruns a slow stage parks on a
-// full ring. Both show in Stats, the Summary line and /metrics. The slow
-// stage sleeps rather than spins: a spinning worker that shares the
-// producer's core lets the producer's yield return only once a slot is
-// free, so the producer would never reach its park.
+// (counted per worker), and a producer that outruns a blocked stage parks on
+// a full ring. Both show in Stats, the Summary line and /metrics. The stage
+// holds every batch on a gate that opens only once the producer has parked,
+// so the park does not depend on how the threads are scheduled.
 TEST(Runtime, IdleWorkersParkAndFullRingsCountDispatchWaits) {
   constexpr std::size_t kWorkers = 2;
   constexpr int kBatches = 30;
   constexpr std::size_t kBatchSize = 16;
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  Gate gate;
   RuntimeConfig cfg;
   cfg.workers = kWorkers;
   cfg.queue_depth = 2;
   std::vector<StageSpec> spec;
-  spec.push_back({"sleep", [](std::size_t) {
-                    class Sleep : public Operator {
+  spec.push_back({"gate", [&gate](std::size_t) {
+                    class GateOp : public Operator {
                      public:
+                      explicit GateOp(Gate* g) : gate_(g) {}
                       PacketBatch Process(PacketBatch batch) override {
-                        std::this_thread::sleep_for(
-                            std::chrono::microseconds(300));
+                        std::unique_lock<std::mutex> lock(gate_->mu);
+                        gate_->cv.wait(lock, [this] { return gate_->open; });
                         return batch;
                       }
-                      std::string_view name() const override { return "sleep"; }
+                      std::string_view name() const override { return "gate"; }
+
+                     private:
+                      Gate* gate_;
                     };
-                    return std::make_unique<Sleep>();
+                    return std::make_unique<GateOp>(&gate);
                   }});
   Runtime rt(cfg, spec);
   rt.Start();
   obs::Counter* parks = rt.registry().GetCounter("runtime.worker_parks_total");
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while ((parks->ShardValue(0) == 0 || parks->ShardValue(1) == 0) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -453,10 +463,26 @@ TEST(Runtime, IdleWorkersParkAndFullRingsCountDispatchWaits) {
 
   FlowSampler sampler(64, 0.0, 31);
   FlowFeeder feeder(&sampler);
-  for (int i = 0; i < kBatches; ++i) {
-    ASSERT_TRUE(rt.Dispatch(feeder.Next(kBatchSize)));
+  bool all_accepted = true;
+  std::thread producer([&] {
+    for (int i = 0; i < kBatches; ++i) {
+      all_accepted = rt.Dispatch(feeder.Next(kBatchSize)) && all_accepted;
+    }
+  });
+  obs::Counter* waits =
+      rt.registry().GetCounter("runtime.dispatch_waits_total");
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (waits->Value() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.open = true;
+  }
+  gate.cv.notify_all();
+  producer.join();
   rt.Shutdown();
+  EXPECT_TRUE(all_accepted);
 
   const RuntimeStats stats = rt.Stats();
   EXPECT_EQ(stats.totals.packets, kBatches * kBatchSize);
@@ -465,7 +491,7 @@ TEST(Runtime, IdleWorkersParkAndFullRingsCountDispatchWaits) {
   }
   EXPECT_EQ(stats.worker_parks, stats.totals.parks);
   EXPECT_GE(stats.dispatch_waits, 1u)
-      << "a producer against 300 us batches and 2-slot rings must park";
+      << "a producer against held batches and 2-slot rings must park";
   const std::string summary = stats.Summary();
   EXPECT_NE(summary.find("worker_parks="), std::string::npos);
   EXPECT_NE(summary.find("dispatch_waits="), std::string::npos);

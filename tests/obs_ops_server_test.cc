@@ -120,7 +120,6 @@ net::RuntimeConfig OpsConfig(const std::string& sock_path,
   net::RuntimeConfig cfg;
   cfg.workers = workers;
   cfg.ckpt.enabled = true;
-  cfg.ops.enabled = true;
   cfg.ops.unix_path = sock_path;
   return cfg;
 }
@@ -142,7 +141,6 @@ TEST(OpsServerTest, StandaloneServesAllEndpoints) {
 
   const std::string sock = SockPath("standalone");
   OpsServerConfig cfg;
-  cfg.enabled = true;
   cfg.unix_path = sock;
   cfg.slo_metric = "demo.latency_cycles";
   OpsServer::Hooks hooks;
@@ -194,7 +192,6 @@ TEST(OpsServerTest, MalformedRequestsGet4xxWithoutCrash) {
   registry.GetCounter("x.total")->Inc(0);
   const std::string sock = SockPath("protocol");
   OpsServerConfig cfg;
-  cfg.enabled = true;
   cfg.unix_path = sock;
   OpsServer::Hooks hooks;
   hooks.registry = &registry;
@@ -279,7 +276,6 @@ TEST(OpsServerTest, TraceDrainRacesLiveWriters) {
   Registry registry;
   const std::string sock = SockPath("trace");
   OpsServerConfig cfg;
-  cfg.enabled = true;
   cfg.unix_path = sock;
   OpsServer::Hooks hooks;
   hooks.registry = &registry;

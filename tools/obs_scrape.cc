@@ -2,7 +2,6 @@
 //
 // Usage:
 //   obs_scrape --unix <socket-path> <endpoint> [options]
-//   obs_scrape --tcp <port> <endpoint> [options]
 //
 //   <endpoint> is one of the ops paths: /metrics, /metrics/delta, /trace,
 //   /healthz (any absolute path is sent verbatim).
@@ -24,8 +23,6 @@
 // 4 malformed JSON body; 5 --require substring missing; 6 --out path
 // unwritable (the scrape itself succeeded — distinct so CI can tell a dead
 // server from a bad artifact directory).
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -43,7 +40,7 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: obs_scrape (--unix PATH | --tcp PORT) /endpoint "
+               "usage: obs_scrape --unix PATH /endpoint "
                "[--out FILE] [--require SUBSTR]... [--quiet]\n");
   return 1;
 }
@@ -64,25 +61,6 @@ int ConnectUnix(const std::string& path) {
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     std::fprintf(stderr, "obs_scrape: connect(%s): %s\n", path.c_str(),
-                 std::strerror(errno));
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
-int ConnectTcp(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    std::perror("obs_scrape: socket");
-    return -1;
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    std::fprintf(stderr, "obs_scrape: connect(127.0.0.1:%d): %s\n", port,
                  std::strerror(errno));
     ::close(fd);
     return -1;
@@ -147,7 +125,6 @@ void SummariseDelta(const jsonmini::JsonValue& root) {
 
 int main(int argc, char** argv) {
   std::string unix_path;
-  int tcp_port = -1;
   std::string endpoint;
   std::string out_file;
   std::vector<std::string> require;
@@ -157,8 +134,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--unix" && i + 1 < argc) {
       unix_path = argv[++i];
-    } else if (arg == "--tcp" && i + 1 < argc) {
-      tcp_port = std::atoi(argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
       out_file = argv[++i];
     } else if (arg == "--require" && i + 1 < argc) {
@@ -171,12 +146,11 @@ int main(int argc, char** argv) {
       return Usage();
     }
   }
-  if (endpoint.empty() || (unix_path.empty() && tcp_port < 0)) {
+  if (endpoint.empty() || unix_path.empty()) {
     return Usage();
   }
 
-  const int fd = unix_path.empty() ? ConnectTcp(tcp_port)
-                                   : ConnectUnix(unix_path);
+  const int fd = ConnectUnix(unix_path);
   if (fd < 0) {
     return 2;
   }
