@@ -1,5 +1,5 @@
-// Fault storm: the supervised multi-core runtime under seeded fault
-// injection (§3's recovery story, stress-tested).
+// Fault storm: the multi-core runtime under seeded fault injection (§3's
+// recovery story, stress-tested).
 //
 // A realistic NF chain — firewall -> ttl -> maglev -> nat — runs one replica
 // per worker. A fifth "tap" stage is deterministically broken on worker 0
@@ -11,9 +11,9 @@
 //
 // What the run demonstrates:
 //   * no injected fault — operator, recovery-fn, or allocator — ever
-//     escapes a worker or the supervisor (the process finishing IS the
-//     demo);
-//   * transient faults are recovered under backoff and measured (MTTR);
+//     escapes a worker (the process finishing IS the demo);
+//   * transient faults are recovered by the faulting worker before its next
+//     batch, and measured (MTTR);
 //   * the crash-looping tap burns its retry budget, is quarantined for good,
 //     and its kPassthrough policy lets worker 0's traffic flow around the
 //     corpse;
@@ -246,16 +246,12 @@ int main(int argc, char** argv) {
   net::FlowFeeder feeder(&sampler);
   for (int i = 0; i < kStormBatches; ++i) {
     rt.Dispatch(feeder.Next(kBatch));
-    if (i % 100 == 0) {
-      // Give the supervisor air: the crash-looping tap needs recovery
-      // passes (not just offered load) to burn through its retry budget.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
   }
   phase_deltas.push_back(ScrapePhase(1, "storm", rt));
 
   // Keep dispatching until worker 0's tap is quarantined (bounded wait —
-  // with the 8-attempt budget this resolves in a few supervisor passes).
+  // each batch that reaches the tap spends one of its 8 recovery attempts,
+  // so this resolves within a few batches of worker 0's).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (rt.Stats().totals.quarantined == 0 &&
@@ -272,7 +268,7 @@ int main(int argc, char** argv) {
   // cross-thread recovery tracks its --flow-check gate looks for.
   Settle(rt);
   {
-    // Drain, not Export: workers and the supervisor are idle but alive.
+    // Drain, not Export: the workers and the watchdog are idle but alive.
     const std::string trace = tracer.DrainChromeJson();
     std::ofstream out(trace_path);
     out << trace;

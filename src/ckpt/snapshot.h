@@ -123,7 +123,8 @@ class Reader {
   bool AtEnd() const { return pos_ == bytes_.size(); }
   // Unread bytes. Every encoded element takes at least one byte, so a
   // decoded element count may never exceed this — the bound Traits::Load
-  // puts on every allocation it sizes from the input.
+  // puts on every allocation it sizes from the input (a reserve of T
+  // elements takes at most remaining() / sizeof(T)).
   std::size_t remaining() const { return bytes_.size() - pos_; }
 
   // Shared-node reconstruction: restored lin::Rc/lin::Arc handles in

@@ -80,6 +80,17 @@ struct Traits<std::string> {
   }
 };
 
+// Capacity to reserve for `n` decoded elements of type T: `n` as read, but
+// never more than the unread bytes could hold as T, so a corrupt count
+// sizes no allocation beyond the input (the loop that follows panics on
+// the first element the bytes cannot supply). Only a hint: a valid stream
+// with smaller encodings than sizeof(T) still decodes, the container grows.
+template <typename T>
+std::size_t ReserveFor(std::uint64_t n, const Reader& r) {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(n, r.remaining() / sizeof(T)));
+}
+
 // ---- std::vector<T> ---------------------------------------------------------
 
 template <typename T>
@@ -110,7 +121,7 @@ struct Traits<std::vector<T>> {
         r.ReadBytes(v.data(), n * sizeof(T));
       }
     } else {
-      v.reserve(std::min<std::uint64_t>(n, r.remaining()));
+      v.reserve(ReserveFor<T>(n, r));
       for (std::uint64_t i = 0; i < n; ++i) {
         v.push_back(Traits<T>::Load(r));
       }
@@ -167,7 +178,7 @@ struct Traits<std::unordered_map<K, V>> {
   static std::unordered_map<K, V> Load(Reader& r) {
     const auto n = r.ReadPod<std::uint64_t>();
     std::unordered_map<K, V> m;
-    m.reserve(std::min<std::uint64_t>(n, r.remaining()));
+    m.reserve(ReserveFor<std::pair<const K, V>>(n, r));
     for (std::uint64_t i = 0; i < n; ++i) {
       m.insert(Traits<std::pair<K, V>>::Load(r));
     }

@@ -1,6 +1,7 @@
 #include "src/ifc/an/intervals.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "src/ifc/ril/types.h"
@@ -138,8 +139,8 @@ class RangeAnalyzer {
     }
     const std::size_t before = diags_->count();
     Env env;
-    Interval ret;
-    AnalyzeBlock(main_fn->body, env, 0, &ret);
+    Exit exit;
+    AnalyzeBlock(main_fn->body, env, 0, &exit);
     return diags_->count() == before;
   }
 
@@ -147,6 +148,14 @@ class RangeAnalyzer {
   using Env = std::map<std::string, Interval>;
   static constexpr int kMaxInlineDepth = 64;
   static constexpr int kUnrollBeforeWiden = 3;
+
+  // What leaves a function through its `return`s: the joined return value
+  // and the joined env at those returns. The fall-through env stays with
+  // the caller of AnalyzeBlock.
+  struct Exit {
+    Interval ret = Interval::Bottom();
+    std::optional<Env> env;  // nullopt: no return reached
+  };
 
   static Env JoinEnv(const Env& a, const Env& b) {
     Env out;
@@ -285,16 +294,73 @@ class RangeAnalyzer {
     for (std::size_t i = 0; i < fn->params.size() && i < call.args.size();
          ++i) {
       const ril::Param& p = fn->params[i];
-      if (p.type.base == ril::BaseType::kInt &&
-          p.type.ref == ril::RefKind::kNone) {
-        callee_env[p.name] = Eval(*call.args[i], env, depth);
-      } else {
-        (void)Eval(*call.args[i], env, depth);
+      const Interval arg = Eval(*call.args[i], env, depth);
+      if (p.type.ref != ril::RefKind::kNone) {
+        // Borrow: the callee starts from the caller's cells of the place.
+        for (const auto& [callee_key, caller_key] :
+             BorrowedCells(p, *call.args[i])) {
+          if (auto it = env.find(caller_key); it != env.end()) {
+            callee_env[callee_key] = it->second;
+          }
+        }
+      } else if (p.type.base == ril::BaseType::kInt) {
+        callee_env[p.name] = arg;
       }
     }
-    Interval ret = Interval::Bottom();
-    AnalyzeBlock(fn->body, callee_env, depth + 1, &ret);
-    return ret.IsBottom() ? Interval::Top() : ret;
+    Exit exit;
+    if (!AnalyzeBlock(fn->body, callee_env, depth + 1, &exit)) {
+      callee_env = exit.env.value_or(Env{});
+    } else if (exit.env.has_value()) {
+      callee_env = JoinEnv(callee_env, *exit.env);
+    }
+    // &mut: the caller's place now holds what the callee left in it, on
+    // every path out (strong update — the callee held the only reference).
+    for (std::size_t i = 0; i < fn->params.size() && i < call.args.size();
+         ++i) {
+      const ril::Param& p = fn->params[i];
+      if (p.type.ref != ril::RefKind::kMut) {
+        continue;
+      }
+      for (const auto& [callee_key, caller_key] :
+           BorrowedCells(p, *call.args[i])) {
+        if (auto it = callee_env.find(callee_key); it != callee_env.end()) {
+          env[caller_key] = it->second;
+        } else {
+          env.erase(caller_key);  // unconstrained by the callee: Top
+        }
+      }
+    }
+    return exit.ret.IsBottom() ? Interval::Top() : exit.ret;
+  }
+
+  // The env cells a reference argument reaches, as (callee key, caller
+  // key) pairs: the place itself for an int, its fields for a struct
+  // variable. The place is the borrowed one (`&mut d`), or the reference
+  // variable passed on (`x` of type `&mut int`). Empty when the place is
+  // not tracked.
+  std::vector<std::pair<std::string, std::string>> BorrowedCells(
+      const ril::Param& p, const Expr& arg) const {
+    const Expr* place = &arg;
+    if (const auto* borrow = arg.As<ril::BorrowExpr>()) {
+      place = borrow->place.get();
+    }
+    std::vector<std::pair<std::string, std::string>> cells;
+    const std::optional<std::string> key = PlaceKey(*place);
+    if (!key) {
+      return cells;
+    }
+    if (p.type.base == ril::BaseType::kInt) {
+      cells.emplace_back(p.name, *key);
+    } else if (p.type.base == ril::BaseType::kStruct &&
+               place->Is<ril::VarRef>()) {
+      if (const ril::StructDecl* decl =
+              program_->FindStruct(p.type.struct_name)) {
+        for (const auto& [field, type] : decl->fields) {
+          cells.emplace_back(p.name + "." + field, *key + "." + field);
+        }
+      }
+    }
+    return cells;
   }
 
   // Refines `env` assuming `cond` evaluated to `truth`. Sound, best-effort:
@@ -431,9 +497,9 @@ class RangeAnalyzer {
   // Returns false when the block ends in unconditionally-returning code
   // (statements after a return are not analyzed; their env is unreachable).
   bool AnalyzeBlock(const ril::Block& block, Env& env, int depth,
-                    Interval* ret) {
+                    Exit* exit) {
     for (const ril::StmtPtr& stmt : block.stmts) {
-      if (!AnalyzeStmt(*stmt, env, depth, ret)) {
+      if (!AnalyzeStmt(*stmt, env, depth, exit)) {
         return false;
       }
     }
@@ -441,7 +507,7 @@ class RangeAnalyzer {
   }
 
   // Returns false if control cannot continue past this statement.
-  bool AnalyzeStmt(const Stmt& stmt, Env& env, int depth, Interval* ret) {
+  bool AnalyzeStmt(const Stmt& stmt, Env& env, int depth, Exit* exit) {
     if (const auto* let = stmt.As<ril::LetStmt>()) {
       Interval v = Eval(*let->init, env, depth);
       if (let->init->type.base == ril::BaseType::kInt) {
@@ -473,15 +539,17 @@ class RangeAnalyzer {
       (void)Eval(*ifs->cond, env, depth);
       Env then_env = env;
       Refine(*ifs->cond, true, then_env, depth);
-      const bool then_falls = AnalyzeBlock(ifs->then_block, then_env, depth, ret);
+      const bool then_falls =
+          AnalyzeBlock(ifs->then_block, then_env, depth, exit);
       Env else_env = env;
       Refine(*ifs->cond, false, else_env, depth);
       bool else_falls = true;
       if (ifs->else_block.has_value()) {
-        else_falls = AnalyzeBlock(*ifs->else_block, else_env, depth, ret);
+        else_falls = AnalyzeBlock(*ifs->else_block, else_env, depth, exit);
       }
       // Only branches that fall through contribute to the post-state —
-      // this is what makes early-return clamping patterns provable.
+      // this is what makes early-return clamping patterns provable. (A
+      // returning branch's env went to `exit`.)
       if (then_falls && else_falls) {
         env = JoinEnv(then_env, else_env);
       } else if (then_falls) {
@@ -501,7 +569,7 @@ class RangeAnalyzer {
       for (int iter = 0;; ++iter) {
         Env body_env = header;
         Refine(*w->cond, true, body_env, depth);
-        Interval ignored = Interval::Bottom();
+        Exit ignored;
         SuppressDiags suppress(this);
         AnalyzeBlock(w->body, body_env, depth, &ignored);
         Env next = JoinEnv(header, body_env);
@@ -522,7 +590,7 @@ class RangeAnalyzer {
       {
         Env body_env = header;
         Refine(*w->cond, true, body_env, depth);
-        AnalyzeBlock(w->body, body_env, depth, ret);
+        AnalyzeBlock(w->body, body_env, depth, exit);
       }
       env = header;
       Refine(*w->cond, false, env, depth);  // loop exit: condition false
@@ -531,10 +599,11 @@ class RangeAnalyzer {
     if (const auto* r = stmt.As<ril::ReturnStmt>()) {
       if (r->value != nullptr) {
         Interval v = Eval(*r->value, env, depth);
-        *ret = ret->Join(r->value->type.base == ril::BaseType::kInt
-                             ? v
-                             : Interval::Top());
+        exit->ret = exit->ret.Join(r->value->type.base == ril::BaseType::kInt
+                                       ? v
+                                       : Interval::Top());
       }
+      exit->env = exit->env ? JoinEnv(*exit->env, env) : env;
       return false;  // nothing after a return executes
     }
     if (const auto* a = stmt.As<ril::AssertLabelStmt>()) {

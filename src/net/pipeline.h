@@ -16,10 +16,10 @@
 // the paper leaves to "the management plane": per-stage fault/recovery
 // accounting, crash-loop quarantine with a degradation policy, and MTTR
 // samples (cycles from fault observation to the first successful
-// post-recovery batch). The policy decisions (when to retry, when to
-// quarantine) live in the caller — net::Runtime's supervisor — but the
-// mechanism and the bookkeeping live here so standalone pipelines get the
-// same behaviour.
+// post-recovery batch). The caller decides when to recover and with what
+// crash-loop budget — net::Runtime recovers on the faulting worker before
+// its next batch — but the mechanism and the bookkeeping live here so
+// standalone pipelines get the same behaviour.
 #ifndef LINSYS_SRC_NET_PIPELINE_H_
 #define LINSYS_SRC_NET_PIPELINE_H_
 
@@ -70,7 +70,7 @@ class CkptStage {
 // CkptStage serialization, moved out of its Writer and read in place on
 // restore (empty when the stage is stateless or was unreachable);
 // `quarantined` round-trips the degraded state so a restored runtime does
-// not resurrect a stage the supervisor gave up on.
+// not resurrect a stage that was given up on.
 struct StageImage {
   std::string name;
   std::uint8_t present = 0;      // bytes hold a CkptStage serialization
@@ -205,8 +205,8 @@ class IsolatedPipeline {
   // domain. On a fault the in-flight batch is lost (its buffers are
   // reclaimed during unwinding, as in the paper, where the caller receives
   // an error code) and the error is reported; the group's domain is left
-  // Failed for the supervisor, with the fault attributed to the member the
-  // domain last entered. A quarantined stage (always a singleton group)
+  // Failed for RecoverFailedStages, with the fault attributed to the member
+  // the domain last entered. A quarantined stage (always a singleton group)
   // applies its DegradePolicy instead of being invoked.
   util::Result<PacketBatch, sfi::CallError> Run(PacketBatch batch) {
     for (auto& gp : groups_) {
@@ -246,14 +246,8 @@ class IsolatedPipeline {
           },
           "process");
       if (!result.ok()) {
-        Member& culprit = *group.members[std::min(
-            group.last_entered, group.members.size() - 1)];
         if (result.error() == sfi::CallError::kFault) {
-          culprit.health.faults++;
-          if (culprit.fault_since == 0) {
-            // First fault of this incident: MTTR clock starts now.
-            culprit.fault_since = util::CycleEnd();
-          }
+          ChargeFault(group);
         }
         return util::Err(result.error());
       }
@@ -350,8 +344,11 @@ class IsolatedPipeline {
   // recorded as quarantined with no payload (the degraded state
   // round-trips); stateless stages and stages whose domain is currently
   // unreachable (Failed mid-recovery) are recorded absent and will be
-  // rebuilt from their factories on restore. Caller must serialize with
-  // Run() and recovery (the worker mutex).
+  // rebuilt from their factories on restore. A panic in a SaveState fails
+  // the member's group and is charged to that member, as a fault in Run()
+  // is; the group's later members are then unreachable and recorded
+  // absent. Caller must serialize with Run() and recovery (the worker
+  // mutex).
   std::vector<StageImage> CheckpointStages() {
     std::vector<StageImage> images;
     images.reserve(members_.size());
@@ -366,8 +363,10 @@ class IsolatedPipeline {
         // image shape stays per-operator regardless of fusion, so a
         // checkpoint taken under one schedule restores into any other.
         ckpt::Writer writer(ckpt::DedupMode::kLinearMark, ckpt::NextEpoch());
-        auto result = member.group->rref.Call(
-            [&writer, slot = member.slot](FusedOps& ops) {
+        Group& group = *member.group;
+        auto result = group.rref.Call(
+            [&writer, &group, slot = member.slot](FusedOps& ops) {
+              group.last_entered = slot;
               auto* ckpt_op = dynamic_cast<CkptStage*>(ops.ops[slot].get());
               if (ckpt_op == nullptr) {
                 return false;
@@ -379,6 +378,9 @@ class IsolatedPipeline {
         if (result.ok() && result.value()) {
           img.present = 1;
           img.bytes = writer.Finish().bytes;
+        } else if (!result.ok() &&
+                   result.error() == sfi::CallError::kFault) {
+          ChargeFault(group);
         }
       }
       images.push_back(std::move(img));
@@ -394,9 +396,11 @@ class IsolatedPipeline {
   // another pipeline panics. Images are per member in add order whatever
   // the fusion, so a checkpoint taken under one schedule restores into any
   // other. Quarantined stages stay quarantined — restoring cannot resurrect
-  // a stage the supervisor retired — and Failed domains are left for the
-  // supervisor (they come back factory-fresh). Returns how many stages had
-  // state reloaded. Caller must serialize with Run() and recovery.
+  // a retired stage — and Failed domains are skipped: they come back
+  // factory-fresh from RecoverFailedStages. A panic in a LoadState fails the
+  // member's group and is charged to that member, as a fault in Run() is.
+  // Returns how many stages had state reloaded. Caller must serialize with
+  // Run() and recovery.
   std::size_t RestoreStages(const std::vector<StageImage>& images) {
     LINSYS_ASSERT(images.size() == members_.size(),
                   "checkpoint image from another pipeline");
@@ -411,8 +415,10 @@ class IsolatedPipeline {
         continue;
       }
       ckpt::Reader reader(img.bytes);
-      auto result = member.group->rref.Call(
-          [&reader, slot = member.slot](FusedOps& ops) {
+      Group& group = *member.group;
+      auto result = group.rref.Call(
+          [&reader, &group, slot = member.slot](FusedOps& ops) {
+            group.last_entered = slot;
             auto* ckpt_op = dynamic_cast<CkptStage*>(ops.ops[slot].get());
             LINSYS_ASSERT(ckpt_op != nullptr,
                           "present image for a stateless stage");
@@ -421,6 +427,8 @@ class IsolatedPipeline {
           "ckpt.load");
       if (result.ok()) {
         ++restored;
+      } else if (result.error() == sfi::CallError::kFault) {
+        ChargeFault(group);
       }
     }
     return restored;
@@ -458,10 +466,22 @@ class IsolatedPipeline {
     sfi::RRef<FusedOps> rref;
     std::vector<Member*> members;  // pipeline order
     // Index of the member the domain last entered — written inside the rref
-    // call immediately before each member's Process, read by the fault
-    // paths to attribute a panic (the unwind leaves it at the culprit).
+    // call immediately before each member's Process, SaveState or
+    // LoadState, read by the fault paths to attribute a panic (the unwind
+    // leaves it at the culprit).
     std::size_t last_entered = 0;
   };
+
+  // Charges a fault that just failed `group` to the member it last entered.
+  static void ChargeFault(Group& group) {
+    Member& culprit = *group.members[std::min(group.last_entered,
+                                              group.members.size() - 1)];
+    culprit.health.faults++;
+    if (culprit.fault_since == 0) {
+      // First fault of this incident: MTTR clock starts now.
+      culprit.fault_since = util::CycleEnd();
+    }
+  }
 
   static FusedOps MakeOps(const Group& group) {
     FusedOps ops;
@@ -507,8 +527,8 @@ class IsolatedPipeline {
     member.health.quarantined = true;
     LINSYS_TRACE_INSTANT("runtime.quarantine");
     // Close the incident on the faulting flow's async track: the id comes
-    // from the domain's fault capture, since quarantine runs on the
-    // supervisor thread with no TLS flow context.
+    // from the domain's fault capture, since quarantine may run under a
+    // later batch's flow context, or under none (a checkpoint capture).
     LINSYS_TRACE_ASYNC_INSTANT("flow.quarantine", "flow", fault_flow);
     // Terminal for the domain: rrefs expire, re-entry refused. The *stage*
     // keeps degrading traffic per its policy.

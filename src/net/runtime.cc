@@ -14,15 +14,8 @@
 namespace net {
 namespace {
 
-// Exponential backoff between recovery passes while a recovery keeps
-// failing (its fn panicking): the first wait, the factor each failed pass
-// multiplies it by, and its cap.
-constexpr std::chrono::microseconds kRecoveryBackoffInitial{50};
-constexpr int kRecoveryBackoffFactor = 2;
-constexpr std::chrono::microseconds kRecoveryBackoffMax{2000};
-// Supervisor wake cadence, and so the watchdog's resolution: a worker busy
-// on one sub-batch across a whole period without a heartbeat is flagged
-// stuck. A fault wakes the supervisor at once, not at the next period.
+// Watchdog wake cadence, and so its resolution: a worker busy on one
+// sub-batch across a whole period without a heartbeat is flagged stuck.
 constexpr std::chrono::milliseconds kWatchdogPeriod{25};
 // CheckpointLive gives every worker this long to reach a batch boundary and
 // deposit its capture before the epoch is abandoned (counted in
@@ -207,7 +200,7 @@ void Runtime::Start() {
     return;
   }
   started_ = true;
-  supervisor_ = std::thread([this] { SupervisorMain(); });
+  watchdog_ = std::thread([this] { WatchdogMain(); });
   for (auto& w : workers_) {
     Worker* worker = w.get();
     worker->thread = std::thread([this, worker] { WorkerMain(*worker); });
@@ -253,10 +246,9 @@ void Runtime::Shutdown() {
     return;  // never ran; nothing to join — but Start is now refused too
   }
   // Closing the rings lets workers drain whatever is queued, then exit
-  // (Await returns false only after close-and-drained). The supervisor keeps
-  // running until after the join so in-flight faults are still recovered
-  // during the drain. A producer parked on a full ring is woken by the
-  // close and refused (the steer counters record it).
+  // (Await returns false only after close-and-drained); each worker has
+  // recovered its own faults by then. A producer parked on a full ring is
+  // woken by the close and refused (the steer counters record it).
   rss_.Shutdown();
   for (auto& w : workers_) {
     if (w->thread.joinable()) {
@@ -264,12 +256,12 @@ void Runtime::Shutdown() {
     }
   }
   {
-    std::lock_guard<std::mutex> lock(sup_mu_);
-    sup_stop_ = true;
+    std::lock_guard<std::mutex> lock(watchdog_mu_);
+    watchdog_stop_ = true;
   }
-  sup_cv_.notify_all();
-  if (supervisor_.joinable()) {
-    supervisor_.join();
+  watchdog_cv_.notify_all();
+  if (watchdog_.joinable()) {
+    watchdog_.join();
   }
 }
 
@@ -302,14 +294,6 @@ std::string Runtime::HealthzJson() {
          std::to_string(telemetry_.failover_failures->Value());
   out += "}}";
   return out;
-}
-
-void Runtime::NotifyFault() {
-  {
-    std::lock_guard<std::mutex> lock(sup_mu_);
-    fault_pending_ = true;
-  }
-  sup_cv_.notify_one();
 }
 
 void Runtime::WorkerMain(Worker& w) {
@@ -460,19 +444,20 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   auto result = w.isolated.Run(std::move(batch));
   const std::uint64_t qdrop_delta =
       w.isolated.QuarantineDropPkts() - qdrop_before;
-  lock.unlock();
   const std::uint64_t batch_cycles = util::CycleEnd() - t0;
+  if (!result.ok()) {
+    // kFault: a fresh panic failed a group. kDomainFailed: a group whose
+    // last recovery panicked. Either way the group is recovered now, before
+    // this worker pops its next batch.
+    RecoverInPlace(w, result.error() == sfi::CallError::kFault ? 1 : 0);
+  }
+  lock.unlock();
   telemetry_.batch_cycles->RecordWithExemplar(w.index, batch_cycles,
                                               flows.flow_id());
   if (!result.ok()) {
     // The in-flight batch was reclaimed during unwinding (still on this
-    // thread, still this worker's pool). kFault = a fresh panic, worth
-    // waking the supervisor; kDomainFailed = still waiting on recovery.
+    // thread, still this worker's pool).
     telemetry_.drops->Add(w.index, n);
-    if (result.error() == sfi::CallError::kFault) {
-      telemetry_.faults->Inc(w.index);
-      NotifyFault();
-    }
     return;
   }
   PacketBatch out = std::move(result).value();
@@ -492,85 +477,31 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   telemetry_.batches->Inc(w.index);
 }
 
-bool Runtime::RecoveryPass() {
-  LINSYS_TRACE_SPAN("runtime.recovery_pass");
-  obs::ScopedProfilerPhase recover_phase(obs::ProfilerPhase::kRecover);
-  bool still_failed = false;
-  for (auto& w : workers_) {
-    // The worker's pipeline mutex serializes recovery against Run, so
-    // rrefs are never replaced under a caller's feet.
-    std::lock_guard<std::mutex> wlock(w->mu);
-    const std::size_t recovered =
-        w->isolated.RecoverFailedStages(kMaxRecoveryAttempts);
-    if (recovered > 0) {
-      telemetry_.recoveries->Add(w->index, recovered);
-    }
-    if (w->isolated.FailedStages() > 0) {
-      still_failed = true;  // a recovery fn panicked — re-queue for backoff
-    }
+void Runtime::RecoverInPlace(Worker& w, std::size_t new_faults) {
+  telemetry_.faults->Add(w.index, new_faults);
+  if (w.isolated.FailedStages() == 0) {
+    return;
   }
-  return still_failed;
+  obs::ScopedProfilerPhase recover_phase(obs::ProfilerPhase::kRecover);
+  // A recovery function that panics leaves its group Failed; the group is
+  // retried the next time this worker meets it, until the crash-loop budget
+  // quarantines it.
+  telemetry_.recoveries->Add(
+      w.index, w.isolated.RecoverFailedStages(kMaxRecoveryAttempts));
 }
 
-void Runtime::SupervisorMain() {
+void Runtime::WatchdogMain() {
   if (obs::Tracer::ArmedFast()) {
-    obs::Tracer::Global().SetThreadName("supervisor");
+    obs::Tracer::Global().SetThreadName("watchdog");
   }
-  obs::Profiler::Global().RegisterThisThread("supervisor");
-  util::FaultInjector::SetThreadTag("net.supervisor");
-  using Clock = std::chrono::steady_clock;
-
   std::vector<std::uint64_t> last_beat(workers_.size(), 0);
   std::vector<bool> flagged(workers_.size(), false);
-  std::chrono::microseconds backoff = kRecoveryBackoffInitial;
-  Clock::time_point next_retry = Clock::now();
-  bool recover_requested = false;
-
-  std::unique_lock<std::mutex> lock(sup_mu_);
-  while (true) {
-    // Sleep until the watchdog period elapses, a retry comes due, or a
-    // worker reports a fresh fault.
-    Clock::duration wait = kWatchdogPeriod;
-    if (recover_requested) {
-      const auto now = Clock::now();
-      wait = next_retry > now
-                 ? std::min<Clock::duration>(kWatchdogPeriod, next_retry - now)
-                 : Clock::duration::zero();
-    }
-    sup_cv_.wait_for(lock, wait,
-                     [this] { return sup_stop_ || fault_pending_; });
-    if (sup_stop_) {
-      break;
-    }
-    if (fault_pending_) {
-      fault_pending_ = false;
-      recover_requested = true;
-    }
-    lock.unlock();
-
-    // Recovery sweep, gated by the backoff clock. While a recovery function
-    // keeps panicking, passes run at kRecoveryBackoffInitial * 2^k (capped);
-    // the moment a pass leaves no stage Failed the backoff resets, so a
-    // healthy fault hits recovery at full speed. Crash-loops whose recovery
-    // *succeeds* but immediately re-faults are bounded separately, by the
-    // per-stage attempts_since_success quarantine budget.
-    if (recover_requested && Clock::now() >= next_retry) {
-      const bool still_failed = RecoveryPass();
-      if (still_failed) {
-        next_retry = Clock::now() + backoff;
-        backoff = std::min(backoff * kRecoveryBackoffFactor,
-                           kRecoveryBackoffMax);
-        // recover_requested stays true: retry when the backoff expires.
-      } else {
-        recover_requested = false;
-        backoff = kRecoveryBackoffInitial;
-        next_retry = Clock::now();
-      }
-    }
-
-    // Watchdog: a worker that is busy on the same sub-batch across an
-    // entire period (heartbeat unmoved) is stuck — count the transition
-    // once per incident and surface it in telemetry.
+  std::unique_lock<std::mutex> lock(watchdog_mu_);
+  while (!watchdog_cv_.wait_for(lock, kWatchdogPeriod,
+                                [this] { return watchdog_stop_; })) {
+    // A worker that is busy on the same sub-batch across an entire period
+    // (heartbeat unmoved) is stuck: count the transition once per incident
+    // and surface it in telemetry.
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       Worker& w = *workers_[i];
       const std::uint64_t beat = w.heartbeat.load(std::memory_order_acquire);
@@ -586,10 +517,7 @@ void Runtime::SupervisorMain() {
       }
       last_beat[i] = beat;
     }
-
-    lock.lock();
   }
-  obs::Profiler::Global().UnregisterThisThread();
 }
 
 // Worker-side half of a checkpoint epoch, called at every batch boundary
@@ -610,8 +538,12 @@ std::uint64_t Runtime::MaybeCaptureCheckpoint(Worker& w) {
   const std::uint64_t t0 = util::CycleStart();
   std::vector<StageImage> stages;
   {
+    // A panic inside a SaveState fails its stage's group; it is recovered
+    // here, before the batch this capture delayed runs.
     std::lock_guard<std::mutex> lock(w.mu);
+    const std::size_t failed = w.isolated.FailedStages();
     stages = w.isolated.CheckpointStages();
+    RecoverInPlace(w, w.isolated.FailedStages() - failed);
   }
   const std::uint64_t pause = util::CycleEnd() - t0;
   // Always-on: the pause is the checkpoint's whole cost story, and epochs
@@ -717,8 +649,12 @@ bool Runtime::FailoverWorker(std::size_t victim) {
   LINSYS_ASSERT(slice.index == victim,
                 "snapshot images are stored in worker order");
   {
+    // A panic inside a LoadState fails its stage's group; it is recovered
+    // (factory-fresh) before the victim's next batch.
     std::lock_guard<std::mutex> lock(v.mu);
+    const std::size_t failed = v.isolated.FailedStages();
     (void)v.isolated.RestoreStages(slice.stages);
+    RecoverInPlace(v, v.isolated.FailedStages() - failed);
   }
   // Exemplar: the victim's most recent flow — the flow a scraper should
   // pull up to see what client work sat closest to the failover.
@@ -780,7 +716,7 @@ RuntimeStats Runtime::Stats() const {
     s.mempool_alloc_failures += pool.alloc_failures;
     {
       // Per-stage health lives behind the worker mutex (it is plain state
-      // shared by Run and the supervisor).
+      // the worker's Run and recoveries write).
       std::lock_guard<std::mutex> lock(w->mu);
       for (std::size_t i = 0; i < w->isolated.length(); ++i) {
         const StageHealth h = w->isolated.health(i);

@@ -20,14 +20,17 @@
 //     cross-thread Free cannot be expressed. (This mirrors hardware RSS,
 //     where the NIC hashes and steers before any buffer from the queue's
 //     pool is used.)
-//   * A supervisor thread recovers faulted stage domains under a retry
-//     policy with exponential backoff; a panic inside a recovery function is
-//     contained and re-queued; a stage that accumulates
+//   * A faulted stage domain is recovered where the fault happened: the
+//     worker that saw it re-creates the domain before it releases its
+//     pipeline, as the paper's §3 recovery does, so its next batch meets a
+//     running stage. This holds for faults raised while a batch runs and
+//     for faults raised inside a checkpoint capture or a failover restore.
+//     A panic inside a recovery function is contained, and the worker
+//     retries with its next batch; a stage that accumulates
 //     Runtime::kMaxRecoveryAttempts recovery attempts without an intervening
 //     good batch is *quarantined* for good and its per-stage DegradePolicy
-//     takes over (drop / passthrough). The supervisor doubles as a
-//     watchdog: a worker stuck inside one batch for longer than a watchdog
-//     period (25 ms) is flagged in telemetry.
+//     takes over (drop / passthrough). A watchdog thread flags a worker
+//     stuck inside one batch for longer than a watchdog period (25 ms).
 //
 // Telemetry is backed by a per-Runtime obs::Registry: every worker counter
 // (packets, batches, drops, faults, recoveries, stalls) is a registry
@@ -237,7 +240,7 @@ struct RuntimeStats {
 class Runtime {
  public:
   // Recovery attempts a stage may accumulate without an intervening good
-  // batch before the supervisor quarantines it for good.
+  // batch before it is quarantined for good.
   static constexpr std::size_t kMaxRecoveryAttempts = 8;
 
   Runtime(RuntimeConfig config, std::vector<StageSpec> spec);
@@ -246,7 +249,7 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  // Spawns the worker and supervisor threads. Idempotent, safe to race with
+  // Spawns the worker and watchdog threads. Idempotent, safe to race with
   // Shutdown (lifecycle transitions are serialized); a no-op after Shutdown.
   void Start();
 
@@ -353,9 +356,9 @@ class Runtime {
     Mempool pool;
     sfi::DomainManager mgr;
     IsolatedPipeline isolated{&mgr};
-    // Serializes pipeline use (worker thread) against stage recovery and
-    // health snapshots (supervisor thread, Stats). Uncontended on the fast
-    // path: the supervisor only takes it on its periodic wakes.
+    // Serializes pipeline use and in-place recovery (worker thread) against
+    // failover restores and health snapshots (Stats, /healthz). Uncontended
+    // on the fast path.
     std::mutex mu;
     // Watchdog signals: busy is true while a sub-batch is being processed,
     // heartbeat increments once per completed sub-batch. Stuck = busy with
@@ -417,11 +420,13 @@ class Runtime {
   // (queue/service/fence) for a delivered batch. No-op when the batch
   // carries no dispatch stamp.
   void RecordDelivery(Worker& w, const FlowBatch& flows);
-  void SupervisorMain();
-  void NotifyFault();
-  // One supervisor recovery sweep over all workers; returns true while any
-  // stage is still Failed (i.e. another pass is needed).
-  bool RecoveryPass();
+  // Counts `new_faults` (the stage groups the caller's call into w's
+  // pipeline just failed) in runtime.faults_total, then recovers every
+  // group the pipeline has Failed, on the calling thread, counting them in
+  // runtime.recoveries_total. Caller holds w.mu.
+  void RecoverInPlace(Worker& w, std::size_t new_faults);
+  // Flags workers busy on one sub-batch across a whole watchdog period.
+  void WatchdogMain();
   // Worker-side half of the checkpoint epoch: called at every batch
   // boundary; when ckpt_gen_ has advanced past this worker's cursor, capture
   // its stage state (the measured pause) and deposit it for the driver.
@@ -443,7 +448,7 @@ class Runtime {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::string> stage_names_;
   std::vector<DegradePolicy> stage_policies_;
-  std::thread supervisor_;
+  std::thread watchdog_;
   // Live ops endpoint, started after the workers in Start() and stopped
   // first in Shutdown() (it reads registry_ and worker state, so it must
   // never outlive them). Guarded by lifecycle_mu_ for create/destroy.
@@ -457,10 +462,9 @@ class Runtime {
   bool shut_down_ = false;
   std::atomic<bool> accepting_{false};
 
-  std::mutex sup_mu_;
-  std::condition_variable sup_cv_;
-  bool sup_stop_ = false;
-  bool fault_pending_ = false;
+  std::mutex watchdog_mu_;
+  std::condition_variable watchdog_cv_;
+  bool watchdog_stop_ = false;
 
   // Live-checkpoint epoch state. ckpt_driver_mu_ serializes CheckpointLive
   // with FailoverWorker (one driver at a time). The epoch protocol itself:

@@ -3,7 +3,7 @@
 //
 // The tracer answers "what happened, when"; the profiler answers "where did
 // the CPU go" — without frame-pointer unwinding. Each registered thread
-// (workers, supervisor) keeps a tiny TLS context block: the current
+// (the runtime's workers) keeps a tiny TLS context block: the current
 // *phase* (pop / execute / recover / ckpt-capture / idle), the
 // current pipeline stage name, and the current flow id. A POSIX per-thread
 // CPU-time timer (timer_create on the thread's cpuclock, SIGEV_THREAD_ID,

@@ -3,8 +3,8 @@
 //
 // The metrics registry answers "how much, in aggregate"; the tracer answers
 // "what happened, when, on which worker" — fault fired on worker 2, its
-// recovery span ran 40µs later on the supervisor thread, the quarantine
-// instant closed the incident. Design mirrors LINSYS_FAULT_POINT's
+// recovery span ran right after on the same worker, the quarantine instant
+// closed the incident. Design mirrors LINSYS_FAULT_POINT's
 // disarmed-cost discipline:
 //
 //   * Disarmed, LINSYS_TRACE_SPAN / LINSYS_TRACE_INSTANT cost one relaxed
@@ -109,7 +109,7 @@ class Tracer {
   void Reset();
 
   // Names the calling thread's track in the exported trace ("worker0",
-  // "supervisor"). No-op while disarmed.
+  // "watchdog"). No-op while disarmed.
   void SetThreadName(std::string name);
 
   // Copies `s` into tracer-owned storage and returns a stable const char*,

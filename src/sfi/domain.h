@@ -153,8 +153,9 @@ class Domain {
     // (paper: 4389 cycles), so the cycle cost is recorded whenever metrics
     // are armed and the span always lands in an armed trace.
     LINSYS_TRACE_SPAN("sfi.recover");
-    // Stitch the recovery onto the faulting flow's async track: this runs on
-    // the supervisor thread, so the id comes from the fault capture, not TLS.
+    // Stitch the recovery onto the faulting flow's async track. The caller's
+    // flow context may belong to a later batch or be absent (a checkpoint
+    // capture), so the id comes from the fault capture, not TLS.
     const std::uint64_t fault_flow = last_fault_flow();
     LINSYS_TRACE_ASYNC_SPAN("flow.recover", "flow", fault_flow);
     const bool armed = obs::MetricsArmed();
@@ -206,9 +207,9 @@ class Domain {
     state_.store(DomainState::kFailed, std::memory_order_release);
     stats_.faults++;
     // The flow whose batch was in flight when the fault unwound: recovery
-    // and quarantine run later on the supervisor thread (no TLS flow
-    // context), so the id is parked here to stitch their spans onto the
-    // faulting flow's track.
+    // and quarantine may run under another flow's context or none, so the
+    // id is parked here to stitch their spans onto the faulting flow's
+    // track.
     last_fault_flow_.store(obs::CurrentFlowId(), std::memory_order_relaxed);
     // Fault paths are cold (a panic already unwound): always count, and
     // drop a trace instant carrying the failed domain's id.

@@ -36,7 +36,7 @@ class DomainManager {
   // Attempts recovery of every domain currently in the Failed state; returns
   // how many completed. A recovery function that panics is contained (its
   // domain stays Failed and is picked up by the next call) — the panic never
-  // escapes to the calling (supervisor) thread.
+  // escapes to the calling thread.
   std::size_t RecoverAllFailed();
 
   // Terminal teardown of one domain.

@@ -7,7 +7,7 @@
 // Nth hit, or fire with probability p from a seeded per-site stream. A firing
 // site raises a normal util::Panic of a chosen PanicKind, so an injected
 // fault is indistinguishable from an organic one to every layer above —
-// domains fail, supervisors recover, quarantine policies trigger.
+// domains fail, workers recover them, quarantine policies trigger.
 //
 // Determinism: every-Nth and one-shot plans depend only on the per-site hit
 // count; probability plans draw from a splitmix64 stream seeded from
@@ -17,11 +17,13 @@
 // threads varies with scheduling.
 //
 // Thread-tag scoping: a thread may declare a tag (net::Runtime tags its
-// workers "net.worker:<i>" and its supervisor "net.supervisor") and a plan
-// armed under "<tag>/<site>" — e.g.
+// workers "net.worker:<i>") and a plan armed under "<tag>/<site>" — e.g.
 // "net.worker:2/channel.recv" — fires only when that thread hits that site,
-// so chaos runs can target one shard. Tagged and untagged plans compose: a
-// hit evaluates the tagged plan first, then the plain site plan.
+// so chaos runs can target one shard. A worker recovers the stages it
+// faulted itself, so "net.worker:2/sfi.recover" reaches shard 2's recovery
+// functions (all but a failover's, which run on the failover's caller).
+// Tagged and untagged plans compose: a hit evaluates the tagged plan first,
+// then the plain site plan.
 //
 // Cost when disarmed: one relaxed atomic load per site hit (the macro
 // early-outs before any lock or lookup), cheap enough to leave compiled into

@@ -1,8 +1,9 @@
 // Cross-module integration: checkpointing live network-function state — the
 // "rollback-recovery for middleboxes" consumer the paper cites (§5) — plus
 // the container traits (pair/map/unordered_map) it relies on, the
-// allocation count of a stage's capture, and seeded decode fuzzing of real
-// checkpoint bytes.
+// allocation count of a stage's capture, the largest allocation a corrupt
+// element count can drive, and seeded decode fuzzing of real checkpoint
+// bytes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -29,17 +30,22 @@
 #include "src/util/panic.h"
 #include "src/util/rng.h"
 
-// Heap allocations made by threads that set g_count_allocs: this binary
-// replaces the global operator new so a stage's capture can be held to the
-// Writer's own growth.
+// Heap allocations made by threads that set g_count_allocs, and the largest
+// single request among them: this binary replaces the global operator new so
+// a stage's capture can be held to the Writer's own growth, and a corrupt
+// decode to the size of its input.
 namespace {
 thread_local bool g_count_allocs = false;
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::size_t> g_largest_alloc{0};
 }  // namespace
 
 void* operator new(std::size_t n) {
   if (g_count_allocs) {
     g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (n > g_largest_alloc.load(std::memory_order_relaxed)) {
+      g_largest_alloc.store(n, std::memory_order_relaxed);
+    }
   }
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
@@ -351,6 +357,62 @@ TEST_P(DecodeFuzz, CorruptSnapshotsReturnOrPanic) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecodeFuzz,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+// Decodes `snap` as a T, which must panic; returns the largest single
+// allocation the decode requested.
+template <typename T>
+std::size_t LargestAllocOfFailedDecode(const Snapshot& snap) {
+  g_largest_alloc.store(0);
+  g_count_allocs = true;
+  bool panicked = false;
+  try {
+    (void)Restore<T>(snap);
+  } catch (const util::PanicError&) {
+    panicked = true;
+  }
+  g_count_allocs = false;
+  EXPECT_TRUE(panicked) << "corrupt count decoded";
+  return g_largest_alloc.load();
+}
+
+// A corrupt element count sizes no allocation past the decoder's input:
+// each reserve it drives is capped by the bytes left to read, counted in
+// elements. Capping by bytes alone would let a runtime image's stage count
+// reserve sizeof(StageImage) = 64 bytes per input byte.
+TEST(DecodeBounds, CorruptCountsAllocateNoMoreThanTheInput) {
+  net::RuntimeCkptImage image{1, {}};
+  image.workers.push_back(net::WorkerCkptImage{0, {}});
+  image.workers[0].stages.push_back(
+      net::StageImage{"nat@w0", 1, 0, std::vector<std::uint8_t>(700000, 0x5a)});
+  const Snapshot clean_image = Checkpoint(image);
+  std::unordered_map<std::uint64_t, std::uint64_t> table;
+  for (std::uint64_t i = 0; i < 20000; ++i) {
+    table.emplace(i * 0x9e3779b97f4a7c15ULL, i);
+  }
+  const Snapshot clean_table = Checkpoint(table);
+
+  // The image's stage count follows its epoch, worker count and worker
+  // index; the table's entry count leads it.
+  constexpr std::size_t kStageCountAt = 3 * sizeof(std::uint64_t);
+  std::uint64_t stage_count = 0;
+  std::memcpy(&stage_count, clean_image.bytes.data() + kStageCountAt,
+              sizeof(stage_count));
+  ASSERT_EQ(stage_count, 1u);
+  for (const std::uint64_t count :
+       {std::uint64_t{2}, std::uint64_t{1} << 20, std::uint64_t{1} << 40,
+        ~std::uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    Snapshot corrupt = clean_image;
+    std::memcpy(corrupt.bytes.data() + kStageCountAt, &count, sizeof(count));
+    EXPECT_LE(LargestAllocOfFailedDecode<net::RuntimeCkptImage>(corrupt),
+              corrupt.size_bytes());
+    corrupt = clean_table;
+    std::memcpy(corrupt.bytes.data(), &count, sizeof(count));
+    EXPECT_LE((LargestAllocOfFailedDecode<
+                  std::unordered_map<std::uint64_t, std::uint64_t>>(corrupt)),
+              corrupt.size_bytes());
+  }
+}
 
 }  // namespace
 }  // namespace ckpt

@@ -1,6 +1,7 @@
 // Interval verification (the §6 future-work verifier): lattice unit tests,
 // then end-to-end proofs and refutations over RIL programs — branch
-// refinement, loop widening, interprocedural inlining, division-by-zero.
+// refinement, loop widening, interprocedural inlining (with writes through
+// &mut arguments), division-by-zero.
 #include "src/ifc/an/intervals.h"
 
 #include <gtest/gtest.h>
@@ -251,6 +252,114 @@ TEST(RangeVerify, NonLiteralBoundsDiagnosed) {
                                   &proved);
   EXPECT_FALSE(proved);
   EXPECT_TRUE(d.Contains(ril::Phase::kIfc, "integer literals"));
+}
+
+// ---- Writes through &mut arguments ----------------------------------------
+//
+// A callee that writes through a `&mut` parameter changes the caller's
+// place: the caller must see the callee's exit state, joined over every
+// return, not the interval it held before the call.
+
+TEST(RangeVerify, MutRefWriteReachesDivisor) {
+  bool proved = true;
+  ril::Diagnostics d = RangeCheck(R"(
+    fn zero(x: &mut int) { x = 0; }
+    fn main() {
+      let mut d = 5;
+      zero(&mut d);
+      emit(stdout, 100 / d);
+    }
+  )",
+                                  &proved);
+  EXPECT_FALSE(proved) << "the divisor is 0 after zero(&mut d)";
+  EXPECT_TRUE(d.Contains(ril::Phase::kIfc, "divisor"));
+}
+
+TEST(RangeVerify, MutRefWriteReachesCheckRange) {
+  constexpr const char* kSource = R"(
+    fn bump(y: &mut int) { y = 100; }
+    fn main() {
+      let mut y = 5;
+      bump(&mut y);
+      let ok = check_range(y, 0, 10);
+    }
+  )";
+  bool proved = true;
+  RangeCheck(kSource, &proved);
+  EXPECT_FALSE(proved);
+  // The interpreter agrees: the check fails at run time.
+  AnalysisResult program = AnalyzeSource(kSource);
+  ASSERT_TRUE(program.type_ok);
+  ril::Diagnostics run_diags;
+  ril::Interpreter interp(&program.program, &run_diags);
+  EXPECT_FALSE(interp.Run());
+  EXPECT_TRUE(run_diags.Contains(ril::Phase::kRuntime, "check_range failed"));
+}
+
+TEST(RangeVerify, MutStructFieldWriteReachesCaller) {
+  bool proved = true;
+  RangeCheck(R"(
+    struct Counter { n: int }
+    fn reset(c: &mut Counter) { c.n = 100; }
+    fn main() {
+      let mut c = Counter { n: 5 };
+      reset(&mut c);
+      let ok = check_range(c.n, 0, 10);
+    }
+  )",
+             &proved);
+  EXPECT_FALSE(proved);
+}
+
+TEST(RangeVerify, MutRefWriteBeforeEarlyReturnIsJoined) {
+  bool proved = true;
+  RangeCheck(R"(
+    fn set(x: &mut int, c: bool) {
+      if c {
+        x = 100;
+        return;
+      }
+      x = 1;
+    }
+    fn main() {
+      let mut y = 5;
+      set(&mut y, true);
+      let ok = check_range(y, 0, 10);
+    }
+  )",
+             &proved);
+  EXPECT_FALSE(proved) << "the early return leaves y at 100";
+}
+
+TEST(RangeVerify, MutRefClampIsProved) {
+  bool proved = false;
+  ril::Diagnostics d = RangeCheck(R"(
+    struct Reading { v: int }
+    fn clamp(x: &mut int) {
+      if x > 10 {
+        x = 10;
+        return;
+      }
+      if x < 0 {
+        x = 0;
+      }
+    }
+    fn clamp_reading(r: &mut Reading) {
+      if r.v > 10 {
+        r.v = 10;
+      }
+    }
+    fn main() {
+      let mut y = 50;
+      clamp(&mut y);
+      let ok = check_range(y, 0, 10);
+      let mut r = Reading { v: 7 };
+      clamp_reading(&mut r);
+      let fine = check_range(r.v, 0, 10);
+    }
+  )",
+                                  &proved);
+  EXPECT_TRUE(proved) << d.ToString();
 }
 
 // ---- Runtime agreement -----------------------------------------------------

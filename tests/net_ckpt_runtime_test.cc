@@ -5,13 +5,17 @@
 // from the snapshot and replays the victim's queued flows on it, a
 // one-worker runtime fails over onto its own snapshot, a late capture from
 // an abandoned epoch never stands in for the next one, degraded
-// (quarantined) pipelines round-trip, and neither an epoch nor a failover
-// re-serializes the installed image.
+// (quarantined) pipelines round-trip, neither an epoch nor a failover
+// re-serializes the installed image, and a stage whose SaveState or
+// LoadState panics is counted against its own member and recovered before
+// the worker's next batch.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -655,6 +659,153 @@ TEST_F(CkptRuntimeTest, FailoverWithoutSnapshotIsRefused) {
   rt.Shutdown();
   EXPECT_EQ(rt.Stats().failover_failures, 1u);
   EXPECT_EQ(rt.Stats().failovers, 0u);
+}
+
+// A stateful pass-through stage whose SaveState and LoadState panic while
+// their shared budgets last.
+class PanickyCkptStage : public Operator, public CkptStage {
+ public:
+  struct Shared {
+    std::atomic<int> save_panics{0};
+    std::atomic<int> load_panics{0};
+  };
+
+  explicit PanickyCkptStage(Shared* shared) : shared_(shared) {}
+
+  PacketBatch Process(PacketBatch batch) override {
+    packets_ += batch.size();
+    return batch;
+  }
+  std::string_view name() const override { return "panicky-ckpt"; }
+
+  void SaveState(ckpt::Writer& w) const override {
+    MaybePanic(shared_->save_panics, "SaveState");
+    ckpt::Traits<std::uint64_t>::Save(packets_, w);
+  }
+  void LoadState(ckpt::Reader& r) override {
+    MaybePanic(shared_->load_panics, "LoadState");
+    packets_ = ckpt::Traits<std::uint64_t>::Load(r);
+  }
+
+ private:
+  static void MaybePanic(std::atomic<int>& budget, const char* what) {
+    if (budget.load() > 0) {
+      budget.fetch_sub(1);
+      util::Panic(util::PanicKind::kAssertFailed, what);
+    }
+  }
+
+  Shared* shared_;
+  std::uint64_t packets_ = 0;
+};
+
+std::vector<StageSpec> PanickyStage(PanickyCkptStage::Shared* shared) {
+  std::vector<StageSpec> spec;
+  spec.push_back({"panicky", [shared](std::size_t) {
+                    return std::make_unique<PanickyCkptStage>(shared);
+                  }});
+  return spec;
+}
+
+// Dispatches `batches` batches of 8 and waits until all are accounted.
+void Traffic(Runtime& rt, FlowFeeder& feeder, int batches,
+             std::uint64_t* dispatched) {
+  for (int i = 0; i < batches; ++i) {
+    if (rt.Dispatch(feeder.Next(8))) {
+      *dispatched += 8;
+    }
+  }
+  EXPECT_TRUE(DrainTo(rt, *dispatched));
+}
+
+// A panic inside SaveState fails the stage's domain at the capture. The
+// worker recovers it before its next batch, so the epoch costs no packet.
+TEST_F(CkptRuntimeTest, PanickingSaveStateIsRecoveredInPlace) {
+  PanickyCkptStage::Shared shared;
+  shared.save_panics = 1;
+  Runtime rt(CkptConfigFor(1), PanickyStage(&shared));
+  rt.Start();
+  FlowSampler sampler(32, 0.0, 67);
+  FlowFeeder feeder(&sampler);
+  std::uint64_t dispatched = 0;
+  Traffic(rt, feeder, 20, &dispatched);
+  ASSERT_TRUE(rt.CheckpointLive());
+  EXPECT_EQ(shared.save_panics.load(), 0) << "SaveState never ran";
+  Traffic(rt, feeder, 200, &dispatched);
+  rt.Shutdown();
+
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_EQ(stats.totals.packets, dispatched) << stats.Summary();
+  EXPECT_EQ(stats.totals.drops, 0u);
+  EXPECT_GE(stats.totals.recoveries, 1u);
+  EXPECT_EQ(stats.totals.faults, 1u);
+  EXPECT_EQ(stats.stages[0].faults, 1u);
+  EXPECT_EQ(stats.stages[0].recoveries, 1u);
+}
+
+// The failover side: a panic inside LoadState fails the victim's stage at
+// the restore, and FailoverWorker recovers it before returning.
+TEST_F(CkptRuntimeTest, PanickingLoadStateIsRecoveredInPlace) {
+  PanickyCkptStage::Shared shared;
+  shared.load_panics = 1;
+  Runtime rt(CkptConfigFor(1), PanickyStage(&shared));
+  rt.Start();
+  FlowSampler sampler(32, 0.0, 71);
+  FlowFeeder feeder(&sampler);
+  std::uint64_t dispatched = 0;
+  Traffic(rt, feeder, 20, &dispatched);
+  ASSERT_TRUE(rt.CheckpointLive());
+  ASSERT_TRUE(rt.FailoverWorker(0));
+  EXPECT_EQ(shared.load_panics.load(), 0) << "LoadState never ran";
+  Traffic(rt, feeder, 200, &dispatched);
+  rt.Shutdown();
+
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_EQ(stats.failovers, 1u);
+  EXPECT_EQ(stats.totals.packets, dispatched) << stats.Summary();
+  EXPECT_EQ(stats.totals.drops, 0u);
+  EXPECT_EQ(stats.totals.faults, 1u);
+  EXPECT_EQ(stats.totals.recoveries, 1u);
+}
+
+// In a fused group, a SaveState fault is the member's whose SaveState ran,
+// not the member Run entered last: member 0's panics are counted and
+// recovered against member 0, and member 2's budget stays untouched. The
+// good batches between epochs reset the crash-loop budget, so nothing is
+// quarantined.
+TEST_F(CkptRuntimeTest, FusedSaveStateFaultIsChargedToItsMember) {
+  PanickyCkptStage::Shared shared;
+  shared.save_panics = std::numeric_limits<int>::max();
+  std::vector<StageSpec> spec = PanickyStage(&shared);
+  spec.push_back(
+      {"null", [](std::size_t) { return std::make_unique<NullFilter>(); }});
+  spec.push_back({"nat", [](std::size_t) {
+                    return std::make_unique<NatRewrite>(0x0a000001);
+                  }});
+  RuntimeConfig cfg = CkptConfigFor(1);
+  cfg.schedule.Fuse(0, 2);
+  Runtime rt(cfg, spec);
+  rt.Start();
+  FlowSampler sampler(32, 0.0, 73);
+  FlowFeeder feeder(&sampler);
+  std::uint64_t dispatched = 0;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    Traffic(rt, feeder, 10, &dispatched);
+    ASSERT_TRUE(rt.CheckpointLive());
+  }
+  Traffic(rt, feeder, 10, &dispatched);
+  rt.Shutdown();
+
+  const RuntimeStats stats = rt.Stats();
+  ASSERT_EQ(stats.stages.size(), 3u);
+  EXPECT_EQ(stats.stages[0].faults, 3u);
+  EXPECT_EQ(stats.stages[0].recoveries, 3u);
+  EXPECT_EQ(stats.stages[2].faults, 0u);
+  EXPECT_EQ(stats.stages[2].recoveries, 0u);
+  EXPECT_EQ(stats.totals.faults, 3u);
+  EXPECT_EQ(stats.totals.quarantined, 0u);
+  EXPECT_EQ(stats.totals.packets, dispatched) << stats.Summary();
+  EXPECT_EQ(stats.totals.drops, 0u);
 }
 
 }  // namespace

@@ -305,10 +305,11 @@ TEST_F(FusedRuntimeTest, FusedRuntimeConservesLikeInterpreted) {
       << "fault-free schedules must deliver identically";
 }
 
-// A deterministic crasher fused between two healthy stages: the supervisor
-// must quarantine only that member on every worker replica — its group
-// neighbours split out and keep the shard serving — and conservation holds
-// across the quarantine under concurrent supervision (the TSan half).
+// A deterministic crasher fused between two healthy stages: each worker's
+// in-place recovery must quarantine only that member on its replica — its
+// group neighbours split out and keep the shard serving — and conservation
+// holds across the quarantine while Stats() scrapes concurrently (the TSan
+// half).
 TEST_F(FusedRuntimeTest, FaultInFusedGroupQuarantinesOnlyTheMember) {
   RuntimeConfig cfg;
   cfg.workers = 2;

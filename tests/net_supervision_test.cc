@@ -1,12 +1,15 @@
-// Supervisor hardening under injected fault storms: recovery-fn panics are
-// contained, crash-looping stages are quarantined, each DegradePolicy does
-// what it says, MTTR is measured, the watchdog flags stuck workers, and
+// Supervision under injected fault storms: a faulted stage is recovered on
+// the worker that saw the fault, before its next batch; recovery-fn panics
+// are contained, crash-looping stages are quarantined, each DegradePolicy
+// does what it says, MTTR is measured, the watchdog flags stuck workers, and
 // out-of-domain panics (mempool) do not kill worker threads.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <new>
 #include <stdexcept>
 #include <string_view>
@@ -106,19 +109,14 @@ TEST_F(SupervisionTest, NonPanicExceptionsAreContainedAndRecovered) {
       rt.Dispatch(feeder.Next(kBatchSize));
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
-    // Let the supervisor finish the last recoveries before shutdown.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (rt.Stats().totals.recoveries < 2 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
     rt.Shutdown();
 
     const RuntimeStats stats = rt.Stats();
     EXPECT_EQ(stats.totals.packets + stats.totals.drops, kBatches * kBatchSize);
     EXPECT_GE(stats.totals.faults, 2u);
     EXPECT_GE(stats.totals.recoveries, 2u);
+    EXPECT_EQ(stats.totals.recoveries, stats.totals.faults)
+        << "a fault left unrecovered at Shutdown";
   }
 }
 
@@ -204,7 +202,7 @@ TEST_F(SupervisionTest, QuarantineDropPolicyCountsAndConserves) {
 }
 
 // Transient faults (operator panics every 5th batch, recovery fn healthy):
-// the supervisor recovers, the stage is never quarantined, and each
+// the worker recovers, the stage is never quarantined, and each
 // fault->first-good-batch incident leaves an MTTR sample.
 TEST_F(SupervisionTest, TransientFaultsRecordMttrWithoutQuarantine) {
   RuntimeConfig cfg;
@@ -234,7 +232,7 @@ TEST_F(SupervisionTest, TransientFaultsRecordMttrWithoutQuarantine) {
   EXPECT_GT(stats.totals.packets, 0u);
 }
 
-// An operator that goes comatose on its first batch. The supervisor's
+// An operator that goes comatose on its first batch. The runtime's
 // watchdog (busy worker, unmoving heartbeat across a 25 ms period) must flag
 // it; the nap spans four periods.
 class SleepyOperator : public Operator {
@@ -349,6 +347,157 @@ TEST_F(SupervisionTest, SeededOperatorStormIsAbsorbedAcrossWorkers) {
   EXPECT_GT(stats.totals.packets, 0u);
   EXPECT_EQ(stats.totals.packets + stats.totals.drops, kBatches * kBatchSize);
   EXPECT_GT(FaultInjector::Global().StatsFor("op.null_filter").fires, 0u);
+}
+
+// Which threads built and ran a stage: the factory logs each call, the
+// operator each batch. The operator panics on its second batch.
+struct ThreadLog {
+  std::mutex mu;
+  std::vector<std::thread::id> built;
+  std::vector<std::thread::id> ran;
+};
+
+class LogsThreadFaultsOnSecond : public Operator {
+ public:
+  explicit LogsThreadFaultsOnSecond(ThreadLog* log) : log_(log) {}
+
+  PacketBatch Process(PacketBatch batch) override {
+    {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      log_->ran.push_back(std::this_thread::get_id());
+    }
+    if (++batches_ == 2) {
+      util::Panic(util::PanicKind::kAssertFailed, "second batch");
+    }
+    return batch;
+  }
+
+  std::string_view name() const override { return "logs-thread"; }
+
+ private:
+  ThreadLog* log_;
+  std::uint64_t batches_ = 0;
+};
+
+// A faulted stage is rebuilt by the worker that saw the fault, on its own
+// thread: every factory call after construction runs where the batches do.
+TEST_F(SupervisionTest, RecoveryRunsOnTheFaultingWorker) {
+  ThreadLog log;
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  std::vector<StageSpec> spec;
+  spec.push_back({"logs-thread", [&log](std::size_t) {
+                    std::lock_guard<std::mutex> lock(log.mu);
+                    log.built.push_back(std::this_thread::get_id());
+                    return std::make_unique<LogsThreadFaultsOnSecond>(&log);
+                  }});
+  Runtime rt(cfg, spec);
+  const std::size_t built_at_construction = log.built.size();
+  rt.Start();
+
+  FlowSampler sampler(16, 0.0, 43);
+  FlowFeeder feeder(&sampler);
+  for (int i = 0; i < 6; ++i) {
+    rt.Dispatch(feeder.Next(8));
+  }
+  rt.Shutdown();
+
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_GE(stats.totals.faults, 1u);
+  EXPECT_EQ(stats.totals.recoveries, stats.totals.faults);
+  ASSERT_FALSE(log.ran.empty());
+  const std::thread::id worker = log.ran.front();
+  for (const std::thread::id& id : log.ran) {
+    EXPECT_EQ(id, worker) << "one worker runs every batch";
+  }
+  ASSERT_GT(log.built.size(), built_at_construction)
+      << "the faulted stage was never rebuilt";
+  for (std::size_t i = built_at_construction; i < log.built.size(); ++i) {
+    EXPECT_EQ(log.built[i], worker)
+        << "recovery " << i - built_at_construction
+        << " ran off the faulting worker's thread";
+  }
+}
+
+// Holds the first batch it sees until the test opens the gate.
+class HoldsFirstBatch : public Operator {
+ public:
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+    bool entered = false;
+  };
+
+  explicit HoldsFirstBatch(Gate* gate) : gate_(gate) {}
+
+  PacketBatch Process(PacketBatch batch) override {
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    if (!gate_->entered) {
+      gate_->entered = true;
+      gate_->cv.notify_all();
+      gate_->cv.wait(lock, [this] { return gate_->open; });
+    }
+    return batch;
+  }
+
+  std::string_view name() const override { return "holds-first"; }
+
+ private:
+  Gate* gate_;
+};
+
+// A worker with a full ring meets each fault with its next batch already
+// waiting. That batch must reach a recovered stage: the only packets lost
+// are those of the batches that faulted.
+TEST_F(SupervisionTest, NoBatchIsDroppedWaitingForRecovery) {
+  constexpr std::size_t kBatchSize = 8;
+  constexpr int kQueued = 24;
+  HoldsFirstBatch::Gate gate;
+  RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.queue_depth = 32;
+  std::vector<StageSpec> spec;
+  spec.push_back({"gate", [&gate](std::size_t) {
+                    return std::make_unique<HoldsFirstBatch>(&gate);
+                  }});
+  spec.push_back({"flaky",
+                  [](std::size_t) { return std::make_unique<NullFilter>(5); },
+                  DegradePolicy::kDrop});
+  Runtime rt(cfg, spec);
+  rt.Start();
+
+  FlowSampler sampler(64, 0.0, 47);
+  FlowFeeder feeder(&sampler);
+  ASSERT_TRUE(rt.Dispatch(feeder.Next(kBatchSize)));
+  bool entered = false;
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    entered = gate.cv.wait_for(lock, std::chrono::seconds(2),
+                               [&gate] { return gate.entered; });
+  }
+  // The ring has room for every queued batch, so none of these blocks; no
+  // ASSERT until the gate opens, or Shutdown would wait on the held worker.
+  int queued = 0;
+  for (int i = 0; i < kQueued; ++i) {
+    queued += rt.Dispatch(feeder.Next(kBatchSize)) ? 1 : 0;
+  }
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    gate.open = true;
+  }
+  gate.cv.notify_all();
+  rt.Shutdown();
+  ASSERT_TRUE(entered) << "the worker never reached the gate";
+  ASSERT_EQ(queued, kQueued);
+
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_EQ(stats.totals.packets + stats.totals.drops,
+            (kQueued + 1) * kBatchSize);
+  EXPECT_GE(stats.totals.faults, 1u);
+  EXPECT_EQ(stats.totals.drops, stats.totals.faults * kBatchSize)
+      << "a batch popped after a fault met a stage still down";
+  EXPECT_EQ(stats.totals.recoveries, stats.totals.faults);
 }
 
 }  // namespace

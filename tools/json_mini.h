@@ -9,6 +9,7 @@
 #define LINSYS_TOOLS_JSON_MINI_H_
 
 #include <cctype>
+#include <cstddef>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -16,6 +17,11 @@
 #include <vector>
 
 namespace jsonmini {
+
+// Deepest array/object nesting the parser accepts. The documents this repo
+// writes nest fewer than 10 levels; the cap keeps the recursive descent off
+// the end of the stack on hostile input, which gets the normal error.
+inline constexpr std::size_t kMaxDepth = 256;
 
 struct JsonValue;
 using JsonPtr = std::unique_ptr<JsonValue>;
@@ -90,9 +96,15 @@ class JsonParser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        if (depth_ == kMaxDepth) {
+          return Fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        ++depth_;
+        JsonPtr value = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"':
         return ParseString();
       case 't':
@@ -283,6 +295,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // arrays/objects open around pos_
   std::string error_;
 };
 
