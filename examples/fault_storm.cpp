@@ -188,8 +188,9 @@ int main(int argc, char** argv) {
   // on a unix socket while the process runs; --serve-ms N holds the storm
   // open for N extra milliseconds of live traffic so an external scraper
   // (CI's obs_scrape) can pull the endpoints mid-storm — including a
-  // /profile?ms=N sampling window whose folded stacks show where the storm
-  // spends its CPU (execute vs recover vs ckpt-capture).
+  // /profile?ms=N sampling window whose folded stacks show where the
+  // workers spend their CPU (execute vs recover; checkpoint captures run on
+  // the driver's thread, outside the workers' profile).
   const char* trace_path = "fault_storm_trace.json";
   const char* delta_path = "fault_storm_delta.json";
   std::string ops_path;

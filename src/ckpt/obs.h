@@ -21,7 +21,8 @@ struct CkptObs {
   obs::Histogram* replicate_cycles;     // per Apply propagation fan-out
   obs::Histogram* failover_cycles;      // per Failover promote + resync
   // Live-runtime checkpointing (net::Runtime::CheckpointLive): cycles from
-  // epoch open to snapshot installed, i.e. quiesce + capture + install.
+  // epoch open to snapshot installed, i.e. each worker's lock wait and
+  // capture, one after another, then the install.
   obs::Histogram* runtime_epoch_cycles;
 
   static const CkptObs& Get() {

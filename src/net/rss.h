@@ -103,7 +103,6 @@ class FlowBatch {
     flow_id_ = 0;
     dispatch_tsc_ = 0;
     pop_tsc_ = 0;
-    fence_cycles_ = 0;
   }
   void Reserve(std::size_t n) { work_.reserve(n); }
   // Appends [first, last) in one range copy.
@@ -129,17 +128,11 @@ class FlowBatch {
   std::uint64_t pop_tsc() const { return pop_tsc_; }
   void set_pop_tsc(std::uint64_t tsc) { pop_tsc_ = tsc; }
 
-  // Cycles the batch stalled behind a checkpoint capture (the pause its
-  // worker took between popping it and processing it).
-  std::uint64_t fence_cycles() const { return fence_cycles_; }
-  void set_fence_cycles(std::uint64_t c) { fence_cycles_ = c; }
-
  private:
   std::vector<FlowWork> work_;
   std::uint64_t flow_id_ = 0;
   std::uint64_t dispatch_tsc_ = 0;
   std::uint64_t pop_tsc_ = 0;
-  std::uint64_t fence_cycles_ = 0;
 };
 
 // How long either side of a ring polls before it parks; an idle worker
@@ -175,7 +168,8 @@ class RssDispatcher {
   // worker per call. Consumes the input batch. Blocks while a target ring is
   // full. Returns the number of sub-batches published. A closed ring refuses
   // its sub-batch; the refusal and its item count are recorded in
-  // refused_sub_batches()/dropped_items().
+  // refused_sub_batches()/dropped_items(). An injected channel.send panic
+  // fires once per call, before any share is published.
   std::size_t Dispatch(FlowBatch batch) {
     dispatch_calls_.fetch_add(1, std::memory_order_relaxed);
     const std::size_t n = batch.size();
@@ -206,14 +200,14 @@ class RssDispatcher {
     for (std::size_t i = 0; i < n; ++i) {
       grouped[next[home[i]]++] = items[i];
     }
+    // Fires before any ring is touched: an injected panic leaves every ring
+    // as it was, so a refused batch published none of its shares.
+    LINSYS_FAULT_POINT("channel.send");
     std::size_t sent = 0;
     for (std::size_t w = 0; w < workers; ++w) {
       if (share[w] == 0) {
         continue;
       }
-      // Fires before the ring is touched: an injected panic leaves the ring
-      // as it was, and the unsent shares die with `batch` in the unwind.
-      LINSYS_FAULT_POINT("channel.send");
       // The scatter left next[w] at the end of share w.
       const FlowWork* last = grouped.data() + next[w];
       const bool published = rings_[w]->Publish([&](FlowBatch& slot) {
@@ -232,13 +226,6 @@ class RssDispatcher {
       }
     }
     return sent;
-  }
-
-  // Publishes an empty slot to `worker`, so a worker parked on its empty
-  // ring reaches a batch boundary (the checkpoint driver's nudge). Returns
-  // false once the ring is closed.
-  bool Nudge(std::size_t worker) {
-    return ring(worker).Publish([](FlowBatch& slot) { slot.Clear(); });
   }
 
   // The worker side, one thread per ring. Await polls, then parks, until

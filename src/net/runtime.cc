@@ -17,8 +17,8 @@ namespace {
 // Watchdog wake cadence, and so its resolution: a worker busy on one
 // sub-batch across a whole period without a heartbeat is flagged stuck.
 constexpr std::chrono::milliseconds kWatchdogPeriod{25};
-// CheckpointLive gives every worker this long to reach a batch boundary and
-// deposit its capture before the epoch is abandoned (counted in
+// CheckpointLive must take every worker's pipeline lock within this long of
+// the epoch's start, or it abandons the epoch (counted in
 // runtime.ckpt_epoch_failures_total; no state is installed).
 constexpr std::chrono::milliseconds kCkptQuiesceTimeout{1000};
 
@@ -270,7 +270,7 @@ std::string Runtime::HealthzJson() {
   std::size_t quarantined = 0;
   std::size_t failed = 0;
   for (const auto& w : workers_) {
-    std::lock_guard<std::mutex> lock(w->mu);
+    std::lock_guard<std::timed_mutex> lock(w->mu);
     failed += w->isolated.FailedStages();
     quarantined += w->isolated.QuarantinedStages();
   }
@@ -284,9 +284,8 @@ std::string Runtime::HealthzJson() {
   out += ",\"workers\":" + std::to_string(workers_.size());
   out += ",\"quarantined_stage_replicas\":" + std::to_string(quarantined);
   out += ",\"failed_stage_replicas\":" + std::to_string(failed);
-  out += ",\"ckpt\":{\"gen\":" +
-         std::to_string(ckpt_gen_.load(std::memory_order_acquire));
-  out += ",\"epochs\":" + std::to_string(telemetry_.ckpt_epochs->Value());
+  out += ",\"ckpt\":{\"epochs\":" +
+         std::to_string(telemetry_.ckpt_epochs->Value());
   out += ",\"epoch_failures\":" +
          std::to_string(telemetry_.ckpt_epoch_failures->Value());
   out += ",\"failovers\":" + std::to_string(telemetry_.failovers->Value());
@@ -312,8 +311,7 @@ void Runtime::WorkerMain(Worker& w) {
   // reallocated.
   FlowBatch batch;
   // A worker with nothing to do polls its ring briefly, then parks until a
-  // publish wakes it. The checkpoint driver wakes an idle worker with an
-  // empty slot (a nudge) so it reaches a batch boundary.
+  // publish wakes it.
   while (true) {
     const std::size_t depth = rss_.QueueDepth(w.index);
     telemetry_.queue_depth->Set(w.index, static_cast<std::int64_t>(depth));
@@ -334,19 +332,9 @@ void Runtime::WorkerMain(Worker& w) {
       continue;
     }
     // The queue→service split point: everything before this stamp is queue
-    // wait, everything after is service — except the fence pause charged
-    // just below.
+    // wait, everything after is service — except the wait for the pipeline
+    // lock (the fence), which ProcessFlows measures.
     batch.set_pop_tsc(util::CycleStart());
-    // Batch boundary: service an open checkpoint epoch before processing
-    // the popped batch (which then simply replays on top of the snapshot).
-    // The measured capture pause stalled *this* batch's delivery, so it is
-    // charged to its fence component rather than smeared into service.
-    batch.set_fence_cycles(MaybeCaptureCheckpoint(w));
-    if (batch.empty()) {
-      // Checkpoint nudge (real sub-batches are never empty: Dispatch only
-      // publishes non-empty per-worker shares). Not counted as a batch.
-      continue;
-    }
     w.busy.store(true, std::memory_order_release);
     ProcessFlows(w, batch);
     w.heartbeat.fetch_add(1, std::memory_order_release);
@@ -363,7 +351,8 @@ void Runtime::WorkerMain(Worker& w) {
 //   queue + service + fence == delivery
 // holds per batch on the nose (the histograms' exact `sum` fields therefore
 // decompose perfectly; quantiles inherit only bucketization error).
-void Runtime::RecordDelivery(Worker& w, const FlowBatch& flows) {
+void Runtime::RecordDelivery(Worker& w, const FlowBatch& flows,
+                             std::uint64_t fence) {
   if (flows.dispatch_tsc() == 0) {
     return;  // unstamped (test-built batch): nothing to attribute
   }
@@ -381,7 +370,7 @@ void Runtime::RecordDelivery(Worker& w, const FlowBatch& flows) {
   }
   const std::uint64_t queue = pop - dispatch;
   std::uint64_t service = end - pop;
-  const std::uint64_t fence = std::min(flows.fence_cycles(), service);
+  fence = std::min(fence, service);
   service -= fence;
   telemetry_.latency_queue_cycles->Record(w.index, queue);
   telemetry_.latency_service_cycles->Record(w.index, service);
@@ -400,7 +389,7 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   obs::ScopedProfilerPhase exec_phase(obs::ProfilerPhase::kExecute);
   obs::Profiler::SetFlow(flows.flow_id());
   // Remembered as the exemplar on this worker's next checkpoint-pause
-  // sample: the flow whose batch sat behind the capture.
+  // sample: the flow whose batch waits out the capture, or ran last.
   w.last_flow_id.store(flows.flow_id(), std::memory_order_relaxed);
   LINSYS_TRACE_ASYNC_SPAN("flow.batch", "flow", flows.flow_id());
   // Materialize frames from this worker's own pool, on this thread —
@@ -436,10 +425,19 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   }
   const std::size_t n = batch.size();
 
+  // A checkpoint capture, a failover restore or a health fold may hold the
+  // pipeline; this batch's wait for it is its fence. Timed only when another
+  // thread holds the lock, so the uncontended path reads no extra clock.
+  std::unique_lock<std::timed_mutex> lock(w.mu, std::try_to_lock);
+  std::uint64_t fence = 0;
+  if (!lock.owns_lock()) {
+    const std::uint64_t f0 = util::CycleStart();
+    lock.lock();
+    fence = util::CycleEnd() - f0;
+  }
   // Always-on latency sample: two cycle reads per *sub-batch*, amortized
   // over its packets — not on the per-call path Figure 2 measures.
   const std::uint64_t t0 = util::CycleStart();
-  std::unique_lock<std::mutex> lock(w.mu);
   const std::uint64_t qdrop_before = w.isolated.QuarantineDropPkts();
   auto result = w.isolated.Run(std::move(batch));
   const std::uint64_t qdrop_delta =
@@ -472,7 +470,7 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   // inside this number, which is exactly why it is the client-visible
   // quantity. Recorded before the packet counters move, so a reader that
   // sees every packet counted also sees every latency sample.
-  RecordDelivery(w, flows);
+  RecordDelivery(w, flows, fence);
   telemetry_.packets->Add(w.index, out.size());
   telemetry_.batches->Inc(w.index);
 }
@@ -520,49 +518,6 @@ void Runtime::WatchdogMain() {
   }
 }
 
-// Worker-side half of a checkpoint epoch, called at every batch boundary
-// (right after a pop, before processing). One acquire load + compare on the
-// no-epoch fast path; when the driver has advanced ckpt_gen_, capture this
-// worker's stage state (the measured quiesce pause) and deposit it. The
-// caller charges the returned pause to the batch the capture delayed.
-std::uint64_t Runtime::MaybeCaptureCheckpoint(Worker& w) {
-  if (!config_.ckpt.enabled) {
-    return 0;
-  }
-  const std::uint64_t gen = ckpt_gen_.load(std::memory_order_acquire);
-  // Only this thread writes its slot's gen, so it reads it unlocked.
-  if (gen == w.ckpt_gen) {
-    return 0;
-  }
-  obs::ScopedProfilerPhase ckpt_phase(obs::ProfilerPhase::kCkptCapture);
-  const std::uint64_t t0 = util::CycleStart();
-  std::vector<StageImage> stages;
-  {
-    // A panic inside a SaveState fails its stage's group; it is recovered
-    // here, before the batch this capture delayed runs.
-    std::lock_guard<std::mutex> lock(w.mu);
-    const std::size_t failed = w.isolated.FailedStages();
-    stages = w.isolated.CheckpointStages();
-    RecoverInPlace(w, w.isolated.FailedStages() - failed);
-  }
-  const std::uint64_t pause = util::CycleEnd() - t0;
-  // Always-on: the pause is the checkpoint's whole cost story, and epochs
-  // are rare. The exemplar names the flow whose batch sat behind it.
-  telemetry_.ckpt_pause_cycles->RecordWithExemplar(
-      w.index, pause, w.last_flow_id.load(std::memory_order_relaxed));
-  {
-    // One capture per epoch even if CheckpointLive abandons it. The slot
-    // carries the gen, so a late capture can never stand in for a later
-    // epoch: that epoch's capture overwrites it.
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    w.ckpt_gen = gen;
-    w.ckpt_stages = std::move(stages);
-  }
-  ckpt_cv_.notify_all();
-  LINSYS_TRACE_INSTANT_ARG("runtime.ckpt_capture", w.index);
-  return pause;
-}
-
 bool Runtime::CheckpointLive() {
   LINSYS_ASSERT(config_.ckpt.enabled,
                 "CheckpointLive needs RuntimeConfig::ckpt.enabled");
@@ -573,50 +528,39 @@ bool Runtime::CheckpointLive() {
   }
   LINSYS_TRACE_SPAN("runtime.ckpt_epoch");
   const std::uint64_t t0 = util::CycleStart();
-  const std::uint64_t gen =
-      ckpt_gen_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  const auto deadline = std::chrono::steady_clock::now() + kCkptQuiesceTimeout;
+  // On the system clock: libstdc++ then waits in pthread_mutex_timedlock,
+  // which ThreadSanitizer intercepts. Its steady-clock overload waits in
+  // pthread_mutex_clocklock, which GCC 12's ThreadSanitizer does not see,
+  // so it would report every capture's unlock as a stray one.
+  const auto deadline = std::chrono::system_clock::now() + kCkptQuiesceTimeout;
   std::vector<WorkerCkptImage> images;
-  {
-    std::unique_lock<std::mutex> lock(ckpt_mu_);
-    std::vector<std::size_t> waiting;
-    while (true) {
-      waiting.clear();
-      for (const auto& w : workers_) {
-        if (w->ckpt_gen != gen) {
-          waiting.push_back(w->index);
-        }
-      }
-      if (waiting.empty()) {
-        break;
-      }
-      if (std::chrono::steady_clock::now() >= deadline) {
-        // Quiesce timed out (some worker never reached a boundary in
-        // time). Nothing is installed; a late capture for this gen is
-        // overwritten by the next epoch's.
-        telemetry_.ckpt_epoch_failures->Inc();
-        LINSYS_TRACE_INSTANT("runtime.ckpt_epoch_abandoned");
-        return false;
-      }
-      // Nudge waiting workers whose ring is empty: those are polling or
-      // parked in Await and will never reach a batch boundary on their own
-      // (a publish to an empty ring cannot wait; a busy worker reaches its
-      // boundary naturally). Re-checked every iteration — a ring that
-      // drains right after this scan gets the next nudge.
-      lock.unlock();
-      for (std::size_t i : waiting) {
-        if (rss_.QueueDepth(i) == 0) {
-          (void)rss_.Nudge(i);
-        }
-      }
-      lock.lock();
-      ckpt_cv_.wait_for(lock, std::chrono::milliseconds(1));
+  images.reserve(workers_.size());
+  for (const auto& w : workers_) {
+    // Holding the pipeline lock puts the worker between two batches; its
+    // popped batch waits (its fence) and then runs on the captured state.
+    std::unique_lock<std::timed_mutex> lock(w->mu, deadline);
+    if (!lock.owns_lock()) {
+      // The worker stayed inside one batch past the deadline. Nothing is
+      // installed; the captures taken so far die with `images`.
+      telemetry_.ckpt_epoch_failures->Inc();
+      LINSYS_TRACE_INSTANT("runtime.ckpt_epoch_abandoned");
+      return false;
     }
-    // Every slot holds this gen's capture: move them out in worker order.
-    images.reserve(workers_.size());
-    for (const auto& w : workers_) {
-      images.push_back(WorkerCkptImage{w->index, std::move(w->ckpt_stages)});
-    }
+    const std::uint64_t c0 = util::CycleStart();
+    // A panic inside a SaveState fails its stage's group; it is recovered
+    // here, before the worker's next batch.
+    const std::size_t failed = w->isolated.FailedStages();
+    std::vector<StageImage> stages = w->isolated.CheckpointStages();
+    RecoverInPlace(*w, w->isolated.FailedStages() - failed);
+    lock.unlock();
+    // Always-on: the pause is the checkpoint's whole cost story, and epochs
+    // are rare. The exemplar names the flow whose batch waited it out, or
+    // the worker's last one.
+    telemetry_.ckpt_pause_cycles->RecordWithExemplar(
+        w->index, util::CycleEnd() - c0,
+        w->last_flow_id.load(std::memory_order_relaxed));
+    LINSYS_TRACE_INSTANT_ARG("runtime.ckpt_capture", w->index);
+    images.push_back(WorkerCkptImage{w->index, std::move(stages)});
   }
   // Install: the collected images move into the snapshot slot, replacing
   // the previous epoch's.
@@ -651,7 +595,7 @@ bool Runtime::FailoverWorker(std::size_t victim) {
   {
     // A panic inside a LoadState fails its stage's group; it is recovered
     // (factory-fresh) before the victim's next batch.
-    std::lock_guard<std::mutex> lock(v.mu);
+    std::lock_guard<std::timed_mutex> lock(v.mu);
     const std::size_t failed = v.isolated.FailedStages();
     (void)v.isolated.RestoreStages(slice.stages);
     RecoverInPlace(v, v.isolated.FailedStages() - failed);
@@ -717,7 +661,7 @@ RuntimeStats Runtime::Stats() const {
     {
       // Per-stage health lives behind the worker mutex (it is plain state
       // the worker's Run and recoveries write).
-      std::lock_guard<std::mutex> lock(w->mu);
+      std::lock_guard<std::timed_mutex> lock(w->mu);
       for (std::size_t i = 0; i < w->isolated.length(); ++i) {
         const StageHealth h = w->isolated.health(i);
         t.recovery_panics += h.recovery_panics;

@@ -155,8 +155,8 @@ struct WorkerCkptImage {
 };
 
 // The crash-consistent runtime snapshot CheckpointLive installs: every
-// worker's stage state, captured at a per-flow batch boundary within one
-// quiesce epoch.
+// worker's stage state, each captured between two of its batches within one
+// epoch.
 struct RuntimeCkptImage {
   std::uint64_t epoch = 0;
   std::vector<WorkerCkptImage> workers;
@@ -207,11 +207,12 @@ struct RuntimeStats {
   std::uint64_t dispatch_waits = 0;
   // Live checkpointing & failover.
   std::uint64_t ckpt_epochs = 0;          // snapshots installed
-  // Epochs abandoned: quiesce timed out, or the runtime was not accepting.
+  // Epochs abandoned: a worker's pipeline lock was not taken by the
+  // deadline, or the runtime was not accepting.
   std::uint64_t ckpt_epoch_failures = 0;
   std::uint64_t failovers = 0;            // completed worker failovers
   std::uint64_t failover_failures = 0;    // failovers with no snapshot yet
-  obs::HistogramSnapshot ckpt_pause_cycles;      // per-worker quiesce pause
+  obs::HistogramSnapshot ckpt_pause_cycles;      // per-worker capture pause
   obs::HistogramSnapshot failover_resync_cycles; // per completed failover
   util::Samples packets_per_worker;    // load distribution across shards
   // Pipeline latency per sub-batch, pooled over workers (consistent
@@ -225,7 +226,8 @@ struct RuntimeStats {
   // sub-batch (all three every time, zeros included, so the counts match and
   // queue + service + fence == delivery exactly on the sums):
   // queue = dispatch→pop wait, service = pop→delivery minus fence, fence =
-  // checkpoint-capture stall.
+  // the batch's wait for its worker's pipeline lock (held by a checkpoint
+  // capture, a failover restore or a Stats()/healthz fold).
   obs::HistogramSnapshot latency_queue_cycles;
   obs::HistogramSnapshot latency_service_cycles;
   obs::HistogramSnapshot latency_fence_cycles;
@@ -309,16 +311,18 @@ class Runtime {
 
   // --- Live checkpointing & failover (CkptConfig) ------------------------
   //
-  // CheckpointLive opens a quiesce epoch: every worker, at its next per-flow
-  // batch boundary (between FlowBatches — never mid-batch), captures its
-  // stage state and deposits it; once all workers have deposited, the
-  // combined image is moved into the runtime's snapshot slot, replacing the
-  // previous one. Dispatch keeps accepting throughout — queues absorb each
-  // worker's capture pause (measured per worker in
+  // CheckpointLive captures every worker in turn on the calling thread: it
+  // takes the worker's pipeline lock (so the worker sits between two
+  // batches, never mid-batch), saves its stage state, recovers any stage
+  // whose SaveState panicked, and releases it. Once every worker is
+  // captured, the combined image is moved into the runtime's snapshot slot,
+  // replacing the previous one. Dispatch keeps accepting throughout — queues
+  // absorb each worker's capture pause (measured per worker in
   // runtime.ckpt_pause_cycles, flow exemplars attached). Returns false
   // (installing nothing, with runtime.ckpt_epoch_failures_total counting it)
-  // when the quiesce times out or the runtime is not accepting. Serialized
-  // with FailoverWorker; safe to call from any non-worker thread.
+  // when a worker's lock is not taken within 1 s of the epoch's start or the
+  // runtime is not accepting. Serialized with FailoverWorker; safe to call
+  // from any non-worker thread.
   bool CheckpointLive();
 
   // Fails worker `victim` over to the snapshot: restores the victim's stage
@@ -357,26 +361,20 @@ class Runtime {
     sfi::DomainManager mgr;
     IsolatedPipeline isolated{&mgr};
     // Serializes pipeline use and in-place recovery (worker thread) against
-    // failover restores and health snapshots (Stats, /healthz). Uncontended
-    // on the fast path.
-    std::mutex mu;
+    // checkpoint captures, failover restores and health snapshots (Stats,
+    // /healthz), which run on their callers' threads. Timed, so a capture
+    // can give up at its epoch's deadline. Uncontended on the fast path.
+    std::timed_mutex mu;
     // Watchdog signals: busy is true while a sub-batch is being processed,
     // heartbeat increments once per completed sub-batch. Stuck = busy with
     // an unmoving heartbeat across a watchdog period. (All other worker
     // counters live in the runtime's registry, sharded by worker index.)
     std::atomic<bool> busy{false};
     std::atomic<std::uint64_t> heartbeat{0};
-    // Checkpoint deposit slot, guarded by ckpt_mu_: the ckpt_gen_ this
-    // worker last captured for, and that capture's stage images (moved out
-    // by CheckpointLive). Only the owning worker writes `ckpt_gen`, so it
-    // also reads it unlocked; a mismatch with ckpt_gen_ at a batch boundary
-    // triggers MaybeCaptureCheckpoint.
-    std::uint64_t ckpt_gen = 0;
-    std::vector<StageImage> ckpt_stages;
-    // Flow id of the most recent batch this worker processed — the exemplar
+    // Flow id of the most recent batch this worker took up — the exemplar
     // attached to its checkpoint pause sample (which flow paid the pause)
-    // and to the failover counter (the failover driver reads it from its own
-    // thread, hence the relaxed atomic: an estimator, not an invariant).
+    // and to the failover counter (both drivers read it from their own
+    // threads, hence the relaxed atomic: an estimator, not an invariant).
     std::atomic<std::uint64_t> last_flow_id{0};
     std::thread thread;
 
@@ -417,9 +415,9 @@ class Runtime {
   void WorkerMain(Worker& w);
   void ProcessFlows(Worker& w, const FlowBatch& flows);
   // Records delivery_latency_cycles plus its exact additive decomposition
-  // (queue/service/fence) for a delivered batch. No-op when the batch
-  // carries no dispatch stamp.
-  void RecordDelivery(Worker& w, const FlowBatch& flows);
+  // (queue/service/fence) for a delivered batch that waited `fence` cycles
+  // for its pipeline lock. No-op when the batch carries no dispatch stamp.
+  void RecordDelivery(Worker& w, const FlowBatch& flows, std::uint64_t fence);
   // Counts `new_faults` (the stage groups the caller's call into w's
   // pipeline just failed) in runtime.faults_total, then recovers every
   // group the pipeline has Failed, on the calling thread, counting them in
@@ -427,12 +425,6 @@ class Runtime {
   void RecoverInPlace(Worker& w, std::size_t new_faults);
   // Flags workers busy on one sub-batch across a whole watchdog period.
   void WatchdogMain();
-  // Worker-side half of the checkpoint epoch: called at every batch
-  // boundary; when ckpt_gen_ has advanced past this worker's cursor, capture
-  // its stage state (the measured pause) and deposit it for the driver.
-  // Returns the pause in cycles (0 when no capture ran) so the caller can
-  // charge the stall to the batch it delayed (latency_fence_cycles).
-  std::uint64_t MaybeCaptureCheckpoint(Worker& w);
   // /healthz body for the ops server: lifecycle, quarantine census, and
   // checkpoint epoch state. Runs on the server thread while workers
   // are live (per-stage health is read under each worker's mutex).
@@ -466,20 +458,11 @@ class Runtime {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;
 
-  // Live-checkpoint epoch state. ckpt_driver_mu_ serializes CheckpointLive
-  // with FailoverWorker (one driver at a time). The epoch protocol itself:
-  // CheckpointLive bumps ckpt_gen_; each worker compares ckpt_gen_ to its
-  // slot's gen at batch boundaries, captures, and overwrites its own
-  // deposit slot (Worker::ckpt_gen/ckpt_stages) under ckpt_mu_;
-  // CheckpointLive waits until every slot carries the current gen or the
-  // quiesce timeout passes. A straggler from an abandoned epoch carries an
-  // older gen, so it can never stand in for the next one: it is simply
-  // overwritten. No flow changes workers, so the per-worker captures need
-  // no fence to be mutually consistent.
+  // Live-checkpoint state. ckpt_driver_mu_ serializes CheckpointLive with
+  // FailoverWorker (one driver at a time). Each worker's pipeline lock is
+  // the only fence a capture needs: no flow changes workers, so captures
+  // taken one after another are mutually consistent.
   std::mutex ckpt_driver_mu_;
-  std::mutex ckpt_mu_;
-  std::condition_variable ckpt_cv_;
-  std::atomic<std::uint64_t> ckpt_gen_{0};
   std::uint64_t ckpt_epoch_seq_ = 0;  // under ckpt_driver_mu_
   // The last installed snapshot; empty until the first successful epoch.
   // Guarded by ckpt_driver_mu_.

@@ -41,8 +41,6 @@ const char* ProfilerPhaseName(ProfilerPhase p) {
       return "execute";
     case ProfilerPhase::kRecover:
       return "recover";
-    case ProfilerPhase::kCkptCapture:
-      return "ckpt-capture";
   }
   return "unknown";
 }

@@ -4,8 +4,8 @@
 // The tracer answers "what happened, when"; the profiler answers "where did
 // the CPU go" — without frame-pointer unwinding. Each registered thread
 // (the runtime's workers) keeps a tiny TLS context block: the current
-// *phase* (pop / execute / recover / ckpt-capture / idle), the
-// current pipeline stage name, and the current flow id. A POSIX per-thread
+// *phase* (pop / execute / recover / idle), the current pipeline stage
+// name, and the current flow id. A POSIX per-thread
 // CPU-time timer (timer_create on the thread's cpuclock, SIGEV_THREAD_ID,
 // SIGPROF) interrupts the thread on its own CPU consumption; the signal
 // handler attributes the tick to that context by bumping a slot in a
@@ -45,10 +45,7 @@ enum class ProfilerPhase : std::uint8_t {
   kPop = 1,
   kExecute = 2,
   kRecover = 3,
-  kCkptCapture = 4,
 };
-
-inline constexpr int kProfilerPhaseCount = 5;
 
 // Folded-frame name for a phase ("idle", "pop", ...).
 const char* ProfilerPhaseName(ProfilerPhase p);

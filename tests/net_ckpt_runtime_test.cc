@@ -1,14 +1,15 @@
 // Live checkpointing & failover of the running sharded runtime
-// (Runtime::CheckpointLive / FailoverWorker): epoch quiesce completes on an
-// idle runtime, a checkpoint + forced failover under live traffic loses
-// zero packets (the exactly-once invariant), failover restores stage state
-// from the snapshot and replays the victim's queued flows on it, a
-// one-worker runtime fails over onto its own snapshot, a late capture from
-// an abandoned epoch never stands in for the next one, degraded
-// (quarantined) pipelines round-trip, neither an epoch nor a failover
-// re-serializes the installed image, and a stage whose SaveState or
-// LoadState panics is counted against its own member and recovered before
-// the worker's next batch.
+// (Runtime::CheckpointLive / FailoverWorker): an epoch completes on an idle
+// runtime without waking its parked workers, a checkpoint + forced failover
+// under live traffic loses zero packets (the exactly-once invariant),
+// failover restores stage state from the snapshot and replays the victim's
+// queued flows on it, a one-worker runtime fails over onto its own
+// snapshot, a worker held past the deadline fails its epoch without leaving
+// anything behind, degraded (quarantined) pipelines round-trip, neither an
+// epoch nor a failover re-serializes the installed image, a stage whose
+// SaveState or LoadState panics is counted against its own member and
+// recovered before the worker's next batch, and a batch held behind a
+// restore counts its wait as fence.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -173,8 +174,8 @@ FlowBatch BatchOf(const std::vector<FiveTuple>& tuples, std::uint64_t seq) {
   return batch;
 }
 
-// An idle runtime has every worker parked in a blocking Recv; the epoch's
-// empty-batch nudges must still walk each one to a batch boundary.
+// An idle runtime has every worker parked on its empty ring; the epoch takes
+// each parked worker's pipeline lock and captures it without a wake.
 TEST_F(CkptRuntimeTest, EpochCompletesOnIdleRuntime) {
   Runtime rt(CkptConfigFor(2), NatStage());
   rt.Start();
@@ -196,6 +197,34 @@ TEST_F(CkptRuntimeTest, EpochCompletesOnIdleRuntime) {
   EXPECT_EQ(stats.ckpt_epoch_failures, 0u);
   // Every worker paid (and recorded) one capture pause.
   EXPECT_EQ(stats.ckpt_pause_cycles.count, 2u);
+}
+
+// Capture runs on the driver's thread, so epochs on an idle runtime wake no
+// parked worker: the park count stays where it was, and each worker still
+// pays one capture pause per epoch.
+TEST_F(CkptRuntimeTest, EpochsLeaveParkedWorkersParked) {
+  Runtime rt(CkptConfigFor(2), NatStage());
+  rt.Start();
+  auto both_parked = [&rt] {
+    const RuntimeStats s = rt.Stats();
+    return s.workers[0].parks >= 1 && s.workers[1].parks >= 1;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!both_parked() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(both_parked()) << "idle workers never parked";
+  const std::uint64_t parks = rt.Stats().worker_parks;
+
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(rt.CheckpointLive());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_EQ(stats.worker_parks, parks) << "an epoch woke a parked worker";
+  EXPECT_EQ(stats.ckpt_pause_cycles.count, 10u);
+  rt.Shutdown();
 }
 
 // The acceptance invariant: periodic live checkpoints plus one forced
@@ -415,11 +444,10 @@ TEST_F(CkptRuntimeTest, FailoverReplaysQueuedFlowsOnTheVictimsRestoredState) {
   EXPECT_EQ(checked, queued + 1) << rt.Stats().Summary();
 }
 
-// An epoch abandoned at the quiesce timeout leaves a late capture behind:
-// worker 0, held in a batch past the timeout, captures for the abandoned
-// epoch at its next batch boundary, before it learns new flows. That
-// capture must not stand in for the next epoch's: worker 0's next image
-// holds the flows it learned after.
+// Worker 0, held inside a batch, keeps its pipeline lock past the epoch's
+// deadline, so the epoch fails and installs nothing. The next epoch
+// captures worker 0 afresh: its image holds the flows it learned after the
+// failed one.
 TEST_F(CkptRuntimeTest, LateCaptureOfAnAbandonedEpochIsNotInstalled) {
   GateStage::Shared gate;
   std::vector<StageSpec> spec;
@@ -456,7 +484,7 @@ TEST_F(CkptRuntimeTest, LateCaptureOfAnAbandonedEpochIsNotInstalled) {
     entered = gate.cv.wait_for(lock, std::chrono::seconds(2),
                                [&gate] { return gate.entered; });
   }
-  // Worker 0 stays in the gate past the quiesce timeout. No ASSERT until
+  // Worker 0 stays in the gate past the lock deadline. No ASSERT until
   // the gate opens: returning early would leave worker 0 held.
   const bool held_epoch = rt.CheckpointLive();
   {
@@ -465,7 +493,7 @@ TEST_F(CkptRuntimeTest, LateCaptureOfAnAbandonedEpochIsNotInstalled) {
   }
   gate.cv.notify_all();
   ASSERT_TRUE(entered) << "worker 0 never reached the gate";
-  EXPECT_FALSE(held_epoch) << "the held worker cannot reach a boundary";
+  EXPECT_FALSE(held_epoch) << "the held worker's lock cannot be taken";
 
   ASSERT_TRUE(rt.Dispatch(BatchOf(later, 0)));
   dispatched += later.size();
@@ -806,6 +834,72 @@ TEST_F(CkptRuntimeTest, FusedSaveStateFaultIsChargedToItsMember) {
   EXPECT_EQ(stats.totals.quarantined, 0u);
   EXPECT_EQ(stats.totals.packets, dispatched) << stats.Summary();
   EXPECT_EQ(stats.totals.drops, 0u);
+}
+
+// A stateful pass-through stage whose LoadState flags that it began, then
+// sleeps 50 ms while the restore holds the worker's pipeline.
+class SlowLoadStage : public Operator, public CkptStage {
+ public:
+  explicit SlowLoadStage(std::atomic<bool>* loading) : loading_(loading) {}
+
+  PacketBatch Process(PacketBatch batch) override { return batch; }
+  std::string_view name() const override { return "slow-load"; }
+
+  void SaveState(ckpt::Writer& w) const override {
+    ckpt::Traits<std::uint64_t>::Save(0, w);
+  }
+  void LoadState(ckpt::Reader& r) override {
+    (void)ckpt::Traits<std::uint64_t>::Load(r);
+    loading_->store(true);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+
+ private:
+  std::atomic<bool>* loading_;
+};
+
+// A batch the worker pops while a failover restore holds its pipeline waits
+// for the lock, and that wait is the batch's fence, as a wait behind a
+// capture is: queue + service + fence still adds up to its delivery.
+TEST_F(CkptRuntimeTest, BatchHeldBehindARestoreCountsTheWaitAsFence) {
+  std::atomic<bool> loading{false};
+  std::vector<StageSpec> spec;
+  spec.push_back({"slow-load", [&loading](std::size_t) {
+                    return std::make_unique<SlowLoadStage>(&loading);
+                  }});
+  Runtime rt(CkptConfigFor(1), spec);
+  rt.Start();
+  FlowSampler sampler(32, 0.0, 79);
+  FlowFeeder feeder(&sampler);
+  std::uint64_t dispatched = 0;
+  Traffic(rt, feeder, 4, &dispatched);
+  ASSERT_TRUE(rt.CheckpointLive());
+  const std::uint64_t fence_before = rt.Stats().latency_fence_cycles.sum;
+
+  bool failed_over = false;
+  std::thread failover([&rt, &failed_over] {
+    failed_over = rt.FailoverWorker(0);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!loading.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const bool began = loading.load();
+  if (rt.Dispatch(feeder.Next(8))) {
+    dispatched += 8;
+  }
+  failover.join();
+  ASSERT_TRUE(began) << "LoadState never ran";
+  ASSERT_TRUE(failed_over);
+  ASSERT_TRUE(DrainTo(rt, dispatched));
+  rt.Shutdown();
+
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_GT(stats.latency_fence_cycles.sum, fence_before) << stats.Summary();
+  EXPECT_EQ(stats.latency_queue_cycles.sum + stats.latency_service_cycles.sum +
+                stats.latency_fence_cycles.sum,
+            stats.delivery_latency_cycles.sum);
 }
 
 }  // namespace

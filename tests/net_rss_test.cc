@@ -456,7 +456,6 @@ TEST(Rss, DispatchAfterShutdownCountsRefusalsAndDroppedItems) {
   EXPECT_LE(rss.refused_sub_batches(), 2u);
   EXPECT_EQ(rss.dropped_items(), 32u)
       << "every dropped item must be accounted";
-  EXPECT_FALSE(rss.Nudge(0)) << "a closed ring refuses nudges too";
   EXPECT_EQ(DrainClosed(rss, 0) + DrainClosed(rss, 1), 32u);
 }
 

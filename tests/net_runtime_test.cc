@@ -523,5 +523,40 @@ TEST(Runtime, ChannelSendFaultIsContainedAtDispatch) {
   EXPECT_EQ(stats.totals.faults, 0u) << "fault never reached a worker";
 }
 
+// A Dispatch refused by a channel.send fault publishes none of its batch:
+// with two workers nearly every batch has two shares, so a fault that fired
+// per share would refuse a batch after publishing its first share, and
+// workers would deliver items no accepted Dispatch carried.
+TEST(Runtime, FaultedDispatchPublishesNothing) {
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  std::vector<StageSpec> spec;
+  spec.push_back(
+      {"null", [](std::size_t) { return std::make_unique<NullFilter>(); }});
+  Runtime rt(cfg, spec);
+  rt.Start();
+  FlowSampler sampler(64, 0.0, 17);
+  FlowFeeder feeder(&sampler);
+  util::FaultInjector::Global().ArmEveryNth("channel.send", 2);
+  std::uint64_t accepted = 0;
+  int refused = 0;
+  for (int i = 0; i < 20; ++i) {
+    if (rt.Dispatch(feeder.Next(32))) {
+      accepted += 32;
+    } else {
+      ++refused;
+    }
+  }
+  rt.Shutdown();
+  util::FaultInjector::Global().Reset();
+  const RuntimeStats stats = rt.Stats();
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(stats.totals.packets + stats.totals.drops +
+                stats.steer_dropped_items,
+            accepted)
+      << "refused=" << refused << " " << stats.Summary();
+}
+
 }  // namespace
 }  // namespace net

@@ -3,7 +3,8 @@
 // robustness (malformed / oversized / wrong-method requests answered with
 // 4xx, never a crash), concurrent scrapes against a runtime under dispatch
 // load, /trace drains racing live tracer writers, clean server teardown
-// inside Runtime::Shutdown, and two acceptance checks: a delta scrape
+// inside Runtime::Shutdown, seeded fuzzing of request parsing, and two
+// acceptance checks: a delta scrape
 // spanning a forced CheckpointLive + FailoverWorker reports nonzero interval
 // slo_p99_cycles alongside the ckpt_epochs / failovers counter deltas, and
 // the same window's SLO header decomposes delivery latency into
@@ -33,6 +34,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/ops_server.h"
 #include "src/obs/trace.h"
+#include "src/util/rng.h"
 #include "tools/json_mini.h"
 
 namespace obs {
@@ -60,7 +62,8 @@ std::string RawRequest(const std::string& sock_path, const std::string& wire) {
   }
   std::size_t off = 0;
   while (off < wire.size()) {
-    const ssize_t n = ::send(fd, wire.data() + off, wire.size() - off, 0);
+    const ssize_t n =
+        ::send(fd, wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
     if (n <= 0) {
       break;
     }
@@ -215,6 +218,103 @@ TEST(OpsServerTest, MalformedRequestsGet4xxWithoutCrash) {
   EXPECT_EQ(StatusOf(Get(sock, "/metrics")), 200);
   server.Stop();
 }
+
+// One to four edits of a valid request: flipped bytes, a truncation, a stray
+// CR or LF, a header line longer than the request cap, or a long run of
+// digits after `ms=`.
+std::string MutateRequest(const std::string& clean, util::Rng& rng) {
+  std::string req = clean;
+  const std::uint64_t edits = 1 + rng.Below(4);
+  for (std::uint64_t e = 0; e < edits; ++e) {
+    switch (rng.Below(5)) {
+      case 0:
+        if (!req.empty()) {
+          req[rng.Below(req.size())] ^= static_cast<char>(1 + rng.Below(255));
+        }
+        break;
+      case 1:
+        req.resize(rng.Below(req.size() + 1));
+        break;
+      case 2:
+        req.insert(rng.Below(req.size() + 1), 1,
+                   rng.Below(2) == 0 ? '\r' : '\n');
+        break;
+      case 3: {
+        const std::size_t nl = req.find('\n');
+        const std::size_t at = nl == std::string::npos ? req.size() : nl + 1;
+        const std::size_t pad = 1 + rng.Below(2 * OpsServer::kMaxRequestBytes);
+        req.insert(at, "X-Pad: " + std::string(pad, 'A') + "\r\n");
+        break;
+      }
+      case 4: {
+        std::string digits(1 + rng.Below(64), '0');
+        for (char& d : digits) {
+          d = static_cast<char>('0' + rng.Below(10));
+        }
+        const std::size_t ms = req.find("ms=");
+        const std::size_t at =
+            ms == std::string::npos ? rng.Below(req.size() + 1) : ms + 3;
+        req.insert(at, digits);
+        break;
+      }
+    }
+  }
+  return req;
+}
+
+class OpsRequestFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Mutated requests against a server with only a registry and a healthz hook,
+// so /trace and /profile answer 404 at once instead of opening a window.
+// RawRequest half-closes each connection, so no request waits out the
+// receive timeout. Every reply is an HTTP/1.0 status from the server's
+// vocabulary, every connection counts as one request, and a clean /healthz
+// still answers 200 afterwards.
+TEST_P(OpsRequestFuzz, MutatedRequestsGetAStatusAndTheServerSurvives) {
+  Registry registry;
+  registry.GetCounter("fuzz.requests_total")->Inc(0);
+  registry.GetHistogram("fuzz.cycles")->Record(0, 42);
+  const std::string sock = SockPath("fuzz" + std::to_string(GetParam()));
+  OpsServerConfig cfg;
+  cfg.unix_path = sock;
+  OpsServer::Hooks hooks;
+  hooks.registry = &registry;
+  hooks.healthz = [] { return std::string("{\"status\":\"ok\"}"); };
+  OpsServer server(cfg, hooks);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const std::vector<std::string> clean = {
+      "GET /metrics HTTP/1.0\r\n\r\n",
+      "GET /metrics/delta HTTP/1.0\r\nAccept: */*\r\n\r\n",
+      "GET /healthz?probe=1 HTTP/1.0\r\nHost: localhost\r\n\r\n",
+      "GET /profile?ms=200&us=50 HTTP/1.0\r\n\r\n",
+      "GET /trace HTTP/1.0\r\n\r\n",
+      "GET /healthz\n\n",
+  };
+  util::Rng rng(GetParam());
+  std::uint64_t sent = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (const std::string& request : clean) {
+      const std::string wire = MutateRequest(request, rng);
+      const std::string response = RawRequest(sock, wire);
+      ++sent;
+      ASSERT_EQ(response.rfind("HTTP/1.0 ", 0), 0u)
+          << "request " << ::testing::PrintToString(wire);
+      const int status = StatusOf(response);
+      EXPECT_TRUE(status == 200 || status == 400 || status == 404 ||
+                  status == 405 || status == 431)
+          << status << " for " << ::testing::PrintToString(wire);
+    }
+  }
+  EXPECT_EQ(StatusOf(Get(sock, "/healthz")), 200);
+  ++sent;
+  EXPECT_EQ(server.requests_served(), sent);
+  server.Stop();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OpsRequestFuzz,
+                         ::testing::Range<std::uint64_t>(1, 33));
 
 // Concurrent scrapers against a runtime under dispatch load: every request
 // gets a 200 and valid payload while workers process traffic. (The TSan CI
@@ -623,7 +723,7 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
   }
   EXPECT_GT(named_ticks, 0u) << folded;
   // >=90% of non-idle ticks attributed to named phases (the remainder is
-  // slot-table overflow, which a 6-phase x few-stage workload never fills).
+  // slot-table overflow, which a 4-phase x few-stage workload never fills).
   const std::uint64_t non_idle = samples - idle;
   ASSERT_GT(non_idle, 0u) << folded;
   EXPECT_GE(static_cast<double>(named_ticks),
