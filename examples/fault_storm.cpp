@@ -269,7 +269,7 @@ int main(int argc, char** argv) {
   // cross-thread recovery tracks its --flow-check gate looks for.
   Settle(rt);
   {
-    // Drain, not Export: the workers and the watchdog are idle but alive.
+    // Drain, not Export: the workers are idle but alive.
     const std::string trace = tracer.DrainChromeJson();
     std::ofstream out(trace_path);
     out << trace;

@@ -42,7 +42,11 @@ class Mempool {
   Mempool(std::size_t capacity, std::size_t buf_size)
       : buf_size_(buf_size),
         capacity_(capacity),
-        slab_(std::make_unique<std::uint8_t[]>(capacity * buf_size)) {
+        storage_(std::make_unique<std::uint8_t[]>(capacity * buf_size +
+                                                 kCacheLine - 1)),
+        slab_(storage_.get() +
+              (-reinterpret_cast<std::uintptr_t>(storage_.get()) &
+               (kCacheLine - 1))) {
     free_list_.reserve(capacity);
     // Push in reverse so allocation order starts at slot 0 (ascending
     // addresses -> hardware-prefetcher-friendly batch sweeps).
@@ -126,10 +130,10 @@ class Mempool {
   }
 
   std::uint8_t* Data(std::uint32_t slot) {
-    return slab_.get() + static_cast<std::size_t>(slot) * buf_size_;
+    return slab_ + static_cast<std::size_t>(slot) * buf_size_;
   }
   const std::uint8_t* Data(std::uint32_t slot) const {
-    return slab_.get() + static_cast<std::size_t>(slot) * buf_size_;
+    return slab_ + static_cast<std::size_t>(slot) * buf_size_;
   }
 
   std::size_t buf_size() const { return buf_size_; }
@@ -172,9 +176,19 @@ class Mempool {
     return v;
   }
 
+  // The slab starts at the first cache line of its storage, so with a
+  // buf_size that is a multiple of 64 every frame does too, wherever the heap
+  // places the storage: a 64-byte frame then spans one line instead of two.
+  // The storage is over-allocated rather than taken from an aligned
+  // operator new, whose glibc path kept a freed slab resident beside the
+  // next runtime's and raised nfbench's fwd64 peak_rss_mb from 16.9 to
+  // 24.7 MB.
+  static constexpr std::size_t kCacheLine = 64;
+
   std::size_t buf_size_;
   std::size_t capacity_;
-  std::unique_ptr<std::uint8_t[]> slab_;
+  std::unique_ptr<std::uint8_t[]> storage_;
+  std::uint8_t* slab_;  // first cache line of storage_
   std::vector<std::uint32_t> free_list_;
   std::atomic<std::uint64_t> allocs_{0};
   std::atomic<std::uint64_t> frees_{0};

@@ -102,7 +102,6 @@ class FlowBatch {
     work_.clear();
     flow_id_ = 0;
     dispatch_tsc_ = 0;
-    pop_tsc_ = 0;
   }
   void Reserve(std::size_t n) { work_.reserve(n); }
   // Appends [first, last) in one range copy.
@@ -122,17 +121,10 @@ class FlowBatch {
   std::uint64_t dispatch_tsc() const { return dispatch_tsc_; }
   void set_dispatch_tsc(std::uint64_t tsc) { dispatch_tsc_ = tsc; }
 
-  // Pop-time cycle stamp (0 = unstamped): when the owning worker took the
-  // batch off its ring. Splits delivery latency into its queue
-  // (dispatch→pop) and service (pop→delivery) halves.
-  std::uint64_t pop_tsc() const { return pop_tsc_; }
-  void set_pop_tsc(std::uint64_t tsc) { pop_tsc_ = tsc; }
-
  private:
   std::vector<FlowWork> work_;
   std::uint64_t flow_id_ = 0;
   std::uint64_t dispatch_tsc_ = 0;
-  std::uint64_t pop_tsc_ = 0;
 };
 
 // How long either side of a ring polls before it parks; an idle worker
@@ -257,6 +249,8 @@ class RssDispatcher {
   std::size_t QueueDepth(std::size_t worker) const {
     return ring(worker).Depth();
   }
+  // The deepest `worker`'s ring has been when its worker took a slot.
+  std::size_t QueueHwm(std::size_t worker) const { return ring(worker).Hwm(); }
 
   // Queue-depth spread across workers (max - min), read by the
   // runtime.queue_imbalance gauge.
@@ -374,8 +368,13 @@ class RssDispatcher {
       // published for the next Take.
       LINSYS_FAULT_POINT("channel.recv");
       const std::uint64_t h = head_.load(std::memory_order_relaxed);
-      LINSYS_ASSERT(tail_.load(std::memory_order_acquire) != h,
-                    "Take needs a published slot (call Await first)");
+      const std::uint64_t t = tail_.load(std::memory_order_acquire);
+      LINSYS_ASSERT(t != h, "Take needs a published slot (call Await first)");
+      // Single writer, like Mempool's in_use_hwm: a compare, and a plain
+      // store only when the depth found here is a new high.
+      if (t - h > hwm_.load(std::memory_order_relaxed)) {
+        hwm_.store(t - h, std::memory_order_relaxed);
+      }
       std::swap(slots_[h % slots_.size()].batch, spare);
       // seq_cst: the store half of the handshake with a producer's park.
       head_.store(h + 1, std::memory_order_seq_cst);
@@ -404,6 +403,9 @@ class RssDispatcher {
       const std::uint64_t t = tail_.load(std::memory_order_acquire);
       return static_cast<std::size_t>(
           std::min<std::uint64_t>(t - h, slots_.size()));
+    }
+    std::size_t Hwm() const {
+      return static_cast<std::size_t>(hwm_.load(std::memory_order_relaxed));
     }
 
    private:
@@ -487,6 +489,7 @@ class RssDispatcher {
     std::uint64_t head_seen_ = 0;  // producer's cached head_, under mu_
     alignas(64) std::atomic<std::uint64_t> tail_{0};  // written under mu_
     alignas(64) std::atomic<std::uint64_t> head_{0};  // written by the worker
+    std::atomic<std::uint64_t> hwm_{0};  // written by the worker, in Take
     alignas(64) std::atomic<bool> closed_{false};     // written under mu_
     std::atomic<std::uint32_t> worker_parked_{0};     // the one worker's flag
     std::atomic<std::uint32_t> producer_wake_wanted_{0};  // a producer parks

@@ -14,9 +14,6 @@
 namespace net {
 namespace {
 
-// Watchdog wake cadence, and so its resolution: a worker busy on one
-// sub-batch across a whole period without a heartbeat is flagged stuck.
-constexpr std::chrono::milliseconds kWatchdogPeriod{25};
 // CheckpointLive must take every worker's pipeline lock within this long of
 // the epoch's start, or it abandons the epoch (counted in
 // runtime.ckpt_epoch_failures_total; no state is installed).
@@ -114,8 +111,6 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
   // call Dispatch); only recorded while metrics are armed.
   telemetry_.dispatch_cycles =
       registry_.GetHistogram("runtime.dispatch_cycles", 4);
-  telemetry_.queue_depth = registry_.GetGauge("runtime.queue_depth", shards);
-  telemetry_.queue_hwm = registry_.GetGauge("runtime.queue_depth_hwm", shards);
   telemetry_.batch_cycles =
       registry_.GetHistogram("runtime.batch_cycles", shards);
   // Always-on SLO histogram: end-to-end dispatch→delivery latency per
@@ -148,7 +143,22 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
   // Per completed failover: restoring the victim's slice of the snapshot.
   telemetry_.failover_resync_cycles =
       registry_.GetHistogram("runtime.failover_resync_cycles");
-  // Imbalance is computed from live ring depths at scrape time.
+  // Ring levels are read from the rings at scrape time: the depth summed
+  // over workers, the deepest any ring has been at a take, and the spread.
+  registry_.RegisterGaugeFn("runtime.queue_depth", [this] {
+    std::int64_t total = 0;
+    for (std::size_t w = 0; w < config_.workers; ++w) {
+      total += static_cast<std::int64_t>(rss_.QueueDepth(w));
+    }
+    return total;
+  });
+  registry_.RegisterGaugeFn("runtime.queue_depth_hwm", [this] {
+    std::int64_t deepest = 0;
+    for (std::size_t w = 0; w < config_.workers; ++w) {
+      deepest = std::max(deepest, static_cast<std::int64_t>(rss_.QueueHwm(w)));
+    }
+    return deepest;
+  });
   registry_.RegisterGaugeFn("runtime.queue_imbalance", [this] {
     return static_cast<std::int64_t>(rss_.QueueImbalance());
   });
@@ -167,6 +177,9 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
       total += static_cast<std::int64_t>(w->pool.Counters().alloc_failures);
     }
     return total;
+  });
+  registry_.RegisterGaugeFn("runtime.stalled_workers", [this] {
+    return static_cast<std::int64_t>(StalledWorkers());
   });
   for (const StageSpec& stage : spec) {
     stage_names_.push_back(stage.name);
@@ -200,7 +213,6 @@ void Runtime::Start() {
     return;
   }
   started_ = true;
-  watchdog_ = std::thread([this] { WatchdogMain(); });
   for (auto& w : workers_) {
     Worker* worker = w.get();
     worker->thread = std::thread([this, worker] { WorkerMain(*worker); });
@@ -255,14 +267,16 @@ void Runtime::Shutdown() {
       w->thread.join();
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(watchdog_mu_);
-    watchdog_stop_ = true;
+}
+
+std::size_t Runtime::StalledWorkers() const {
+  const std::uint64_t now = util::CycleStart();
+  std::size_t stalled = 0;
+  for (const auto& w : workers_) {
+    const std::uint64_t since = w->busy_since.load(std::memory_order_relaxed);
+    stalled += since != 0 && now > since + kStallCycles ? 1 : 0;
   }
-  watchdog_cv_.notify_all();
-  if (watchdog_.joinable()) {
-    watchdog_.join();
-  }
+  return stalled;
 }
 
 std::string Runtime::HealthzJson() {
@@ -270,20 +284,23 @@ std::string Runtime::HealthzJson() {
   std::size_t quarantined = 0;
   std::size_t failed = 0;
   for (const auto& w : workers_) {
-    std::lock_guard<std::timed_mutex> lock(w->mu);
-    failed += w->isolated.FailedStages();
-    quarantined += w->isolated.QuarantinedStages();
+    failed += w->failed_groups.load(std::memory_order_relaxed);
+    quarantined += w->quarantined_groups.load(std::memory_order_relaxed);
   }
+  const std::size_t stalled = StalledWorkers();
   // "ok" degrades to "degraded" while any stage replica is quarantined or
-  // awaiting recovery, and to "stopping" once Shutdown has begun — the
-  // three states a liveness prober actually branches on.
+  // awaiting recovery or any worker is stuck in one sub-batch, and to
+  // "stopping" once Shutdown has begun — the three states a liveness prober
+  // actually branches on.
   std::string out = "{\"status\":\"";
-  out += !accepting ? "stopping" : (quarantined + failed > 0 ? "degraded" : "ok");
+  out += !accepting ? "stopping"
+                    : (quarantined + failed + stalled > 0 ? "degraded" : "ok");
   out += "\",\"accepting\":";
   out += accepting ? "true" : "false";
   out += ",\"workers\":" + std::to_string(workers_.size());
   out += ",\"quarantined_stage_replicas\":" + std::to_string(quarantined);
   out += ",\"failed_stage_replicas\":" + std::to_string(failed);
+  out += ",\"stalled_workers\":" + std::to_string(stalled);
   out += ",\"ckpt\":{\"epochs\":" +
          std::to_string(telemetry_.ckpt_epochs->Value());
   out += ",\"epoch_failures\":" +
@@ -311,16 +328,9 @@ void Runtime::WorkerMain(Worker& w) {
   // reallocated.
   FlowBatch batch;
   // A worker with nothing to do polls its ring briefly, then parks until a
-  // publish wakes it.
-  while (true) {
-    const std::size_t depth = rss_.QueueDepth(w.index);
-    telemetry_.queue_depth->Set(w.index, static_cast<std::int64_t>(depth));
-    telemetry_.queue_hwm->SetMax(w.index, static_cast<std::int64_t>(depth));
-    w.busy.store(false, std::memory_order_release);
-    // The poll and the park are idle time, outside the "pop" profiler phase.
-    if (!rss_.Await(w.index)) {
-      break;  // closed and drained
-    }
+  // publish wakes it. The poll and the park are idle time, outside the "pop"
+  // profiler phase; Await is false once the ring is closed and drained.
+  while (rss_.Await(w.index)) {
     try {
       obs::ScopedProfilerPhase pop_phase(obs::ProfilerPhase::kPop);
       rss_.Take(w.index, batch);
@@ -333,37 +343,39 @@ void Runtime::WorkerMain(Worker& w) {
     }
     // The queue→service split point: everything before this stamp is queue
     // wait, everything after is service — except the wait for the pipeline
-    // lock (the fence), which ProcessFlows measures.
-    batch.set_pop_tsc(util::CycleStart());
-    w.busy.store(true, std::memory_order_release);
-    ProcessFlows(w, batch);
-    w.heartbeat.fetch_add(1, std::memory_order_release);
+    // lock (the fence), which ProcessFlows measures. It also starts the
+    // stall clock.
+    const std::uint64_t pop = util::CycleStart();
+    w.busy_since.store(pop, std::memory_order_relaxed);
+    const std::uint64_t done = ProcessFlows(w, batch);
+    w.busy_since.store(0, std::memory_order_relaxed);
+    if (done > pop + kStallCycles) {
+      // Counted once, when the sub-batch ends; while it lasted, the
+      // runtime.stalled_workers gauge and /healthz showed it.
+      telemetry_.stalls->Inc(w.index);
+      LINSYS_TRACE_INSTANT_ARG("runtime.stall", w.index);
+    }
   }
-  w.busy.store(false, std::memory_order_release);
-  telemetry_.queue_depth->Set(w.index, 0);
   obs::Profiler::Global().UnregisterThisThread();
 }
 
 // Delivery-side terminus of the SLO clock: records the always-on
 // dispatch→delivery histogram plus its three-way additive decomposition.
-// The split is exact by construction — clamps defend against a missing pop
-// stamp or cross-core TSC skew, and after them
+// The split is exact by construction — clamps defend against cross-core TSC
+// skew, and after them
 //   queue + service + fence == delivery
 // holds per batch on the nose (the histograms' exact `sum` fields therefore
 // decompose perfectly; quantiles inherit only bucketization error).
-void Runtime::RecordDelivery(Worker& w, const FlowBatch& flows,
-                             std::uint64_t fence) {
-  if (flows.dispatch_tsc() == 0) {
-    return;  // unstamped (test-built batch): nothing to attribute
-  }
+std::uint64_t Runtime::RecordDelivery(Worker& w, const FlowBatch& flows,
+                                      std::uint64_t fence) {
   const std::uint64_t end = util::CycleEnd();
   const std::uint64_t dispatch = flows.dispatch_tsc();
   const std::uint64_t delivery = end > dispatch ? end - dispatch : 0;
   telemetry_.delivery_latency_cycles->RecordWithExemplar(w.index, delivery,
                                                          flows.flow_id());
-  std::uint64_t pop = flows.pop_tsc();
+  std::uint64_t pop = w.busy_since.load(std::memory_order_relaxed);
   if (pop < dispatch) {
-    pop = dispatch;  // also covers pop == 0 (batch delivered without Take)
+    pop = dispatch;
   }
   if (pop > end) {
     pop = end;
@@ -375,19 +387,19 @@ void Runtime::RecordDelivery(Worker& w, const FlowBatch& flows,
   telemetry_.latency_queue_cycles->Record(w.index, queue);
   telemetry_.latency_service_cycles->Record(w.index, service);
   telemetry_.latency_fence_cycles->Record(w.index, fence);
+  return end;
 }
 
-void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
+std::uint64_t Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   LINSYS_TRACE_SPAN("runtime.batch");
   // Re-enter the flow's context on this worker: instrumentation below here
   // (stage crossings, fault capture, exemplars) tags what it records with
   // the dispatch-assigned id, and the batch span joins the flow's track.
   obs::ScopedFlowId flow_scope(flows.flow_id());
   // Profile attribution: the batch's whole dynamic extent is "execute"
-  // (per-stage refinement happens inside Pipeline::Run), tagged with the
-  // flow id so profile exemplars correlate with trace tracks.
+  // (per-stage refinement happens inside Pipeline::Run); the flow scope above
+  // names the batch in profile exemplars.
   obs::ScopedProfilerPhase exec_phase(obs::ProfilerPhase::kExecute);
-  obs::Profiler::SetFlow(flows.flow_id());
   // Remembered as the exemplar on this worker's next checkpoint-pause
   // sample: the flow whose batch waits out the capture, or ran last.
   w.last_flow_id.store(flows.flow_id(), std::memory_order_relaxed);
@@ -417,15 +429,15 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
     telemetry_.drops->Add(w.index, flows.size());
     telemetry_.faults->Inc(w.index);
     LINSYS_TRACE_INSTANT_ARG("runtime.materialize_fault", w.index);
-    return;
+    return util::CycleEnd();
   }
   telemetry_.drops->Add(w.index, materialize_drops);
   if (batch.empty()) {
-    return;
+    return util::CycleEnd();
   }
   const std::size_t n = batch.size();
 
-  // A checkpoint capture, a failover restore or a health fold may hold the
+  // A checkpoint capture, a failover restore or a Stats() fold may hold the
   // pipeline; this batch's wait for it is its fence. Timed only when another
   // thread holds the lock, so the uncontended path reads no extra clock.
   std::unique_lock<std::timed_mutex> lock(w.mu, std::try_to_lock);
@@ -456,7 +468,7 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
     // The in-flight batch was reclaimed during unwinding (still on this
     // thread, still this worker's pool).
     telemetry_.drops->Add(w.index, n);
-    return;
+    return util::CycleEnd();
   }
   PacketBatch out = std::move(result).value();
   // A quarantined kDrop stage returns Ok(empty): mirror its drop count
@@ -470,52 +482,26 @@ void Runtime::ProcessFlows(Worker& w, const FlowBatch& flows) {
   // inside this number, which is exactly why it is the client-visible
   // quantity. Recorded before the packet counters move, so a reader that
   // sees every packet counted also sees every latency sample.
-  RecordDelivery(w, flows, fence);
+  const std::uint64_t done = RecordDelivery(w, flows, fence);
   telemetry_.packets->Add(w.index, out.size());
   telemetry_.batches->Inc(w.index);
+  return done;
 }
 
 void Runtime::RecoverInPlace(Worker& w, std::size_t new_faults) {
   telemetry_.faults->Add(w.index, new_faults);
-  if (w.isolated.FailedStages() == 0) {
-    return;
+  if (w.isolated.FailedStages() > 0) {
+    obs::ScopedProfilerPhase recover_phase(obs::ProfilerPhase::kRecover);
+    // A recovery function that panics leaves its group Failed; the group is
+    // retried the next time this worker meets it, until the crash-loop
+    // budget quarantines it.
+    telemetry_.recoveries->Add(
+        w.index, w.isolated.RecoverFailedStages(kMaxRecoveryAttempts));
   }
-  obs::ScopedProfilerPhase recover_phase(obs::ProfilerPhase::kRecover);
-  // A recovery function that panics leaves its group Failed; the group is
-  // retried the next time this worker meets it, until the crash-loop budget
-  // quarantines it.
-  telemetry_.recoveries->Add(
-      w.index, w.isolated.RecoverFailedStages(kMaxRecoveryAttempts));
-}
-
-void Runtime::WatchdogMain() {
-  if (obs::Tracer::ArmedFast()) {
-    obs::Tracer::Global().SetThreadName("watchdog");
-  }
-  std::vector<std::uint64_t> last_beat(workers_.size(), 0);
-  std::vector<bool> flagged(workers_.size(), false);
-  std::unique_lock<std::mutex> lock(watchdog_mu_);
-  while (!watchdog_cv_.wait_for(lock, kWatchdogPeriod,
-                                [this] { return watchdog_stop_; })) {
-    // A worker that is busy on the same sub-batch across an entire period
-    // (heartbeat unmoved) is stuck: count the transition once per incident
-    // and surface it in telemetry.
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      Worker& w = *workers_[i];
-      const std::uint64_t beat = w.heartbeat.load(std::memory_order_acquire);
-      const bool busy = w.busy.load(std::memory_order_acquire);
-      if (busy && beat == last_beat[i]) {
-        if (!flagged[i]) {
-          telemetry_.stalls->Inc(i);
-          LINSYS_TRACE_INSTANT_ARG("runtime.watchdog_stall", i);
-          flagged[i] = true;
-        }
-      } else {
-        flagged[i] = false;
-      }
-      last_beat[i] = beat;
-    }
-  }
+  // Every fault path ends here, so these are current whenever w.mu is free.
+  w.failed_groups.store(w.isolated.FailedStages(), std::memory_order_relaxed);
+  w.quarantined_groups.store(w.isolated.QuarantinedStages(),
+                             std::memory_order_relaxed);
 }
 
 bool Runtime::CheckpointLive() {
@@ -652,8 +638,7 @@ RuntimeStats Runtime::Stats() const {
     t.recoveries = telemetry_.recoveries->ShardValue(w->index);
     t.stalls = telemetry_.stalls->ShardValue(w->index);
     t.parks = telemetry_.worker_parks->ShardValue(w->index);
-    t.queue_hwm = static_cast<std::size_t>(
-        telemetry_.queue_hwm->ShardValue(w->index));
+    t.queue_hwm = rss_.QueueHwm(w->index);
     const Mempool::CountersView pool = w->pool.Counters();
     s.mempool_in_use += pool.in_use;
     s.mempool_in_use_hwm = std::max(s.mempool_in_use_hwm, pool.in_use_hwm);

@@ -29,13 +29,18 @@
 //     retries with its next batch; a stage that accumulates
 //     Runtime::kMaxRecoveryAttempts recovery attempts without an intervening
 //     good batch is *quarantined* for good and its per-stage DegradePolicy
-//     takes over (drop / passthrough). A watchdog thread flags a worker
-//     stuck inside one batch for longer than a watchdog period (25 ms).
+//     takes over (drop / passthrough).
+//   * A started runtime runs its workers and nothing else (plus the ops
+//     server's thread when ops.unix_path is set). A worker that spends
+//     longer than Runtime::kStallCycles on one sub-batch counts the stall
+//     itself when the sub-batch ends; while it lasts, the
+//     runtime.stalled_workers gauge and /healthz show it.
 //
 // Telemetry is backed by a per-Runtime obs::Registry: every worker counter
 // (packets, batches, drops, faults, recoveries, stalls) is a registry
-// Counter sharded one-cell-per-worker, queue depth/high-water are Gauges,
-// and per-sub-batch pipeline latency feeds a cycle Histogram — so
+// Counter sharded one-cell-per-worker, queue depth/high-water are gauges
+// read from the rings at scrape time, and per-sub-batch pipeline latency
+// feeds a cycle Histogram — so
 // RuntimeStats is a *consistent* scrape (counters monotone across scrapes,
 // histogram buckets never torn; see src/obs/metrics.h) and the same data
 // exports as Prometheus text or JSON via registry().Scrape().
@@ -48,7 +53,6 @@
 #define LINSYS_SRC_NET_RUNTIME_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -171,9 +175,9 @@ struct WorkerTelemetry {
   std::uint64_t faults = 0;      // stage panics observed by this worker
   std::uint64_t recoveries = 0;  // stage domains re-exported for this worker
   std::uint64_t recovery_panics = 0;  // recovery fns contained mid-panic
-  std::uint64_t stalls = 0;      // watchdog stuck-worker detections
+  std::uint64_t stalls = 0;      // sub-batches that ran past kStallCycles
   std::size_t quarantined = 0;   // stages currently quarantined on this shard
-  std::size_t queue_hwm = 0;     // steering-ring depth high-water mark
+  std::size_t queue_hwm = 0;     // deepest the ring was at a take
   std::uint64_t parks = 0;       // times the worker parked on its empty ring
 };
 
@@ -227,7 +231,7 @@ struct RuntimeStats {
   // queue + service + fence == delivery exactly on the sums):
   // queue = dispatch→pop wait, service = pop→delivery minus fence, fence =
   // the batch's wait for its worker's pipeline lock (held by a checkpoint
-  // capture, a failover restore or a Stats()/healthz fold).
+  // capture, a failover restore or a Stats() fold).
   obs::HistogramSnapshot latency_queue_cycles;
   obs::HistogramSnapshot latency_service_cycles;
   obs::HistogramSnapshot latency_fence_cycles;
@@ -244,6 +248,10 @@ class Runtime {
   // Recovery attempts a stage may accumulate without an intervening good
   // batch before it is quarantined for good.
   static constexpr std::size_t kMaxRecoveryAttempts = 8;
+  // A sub-batch whose pop-to-done time exceeds this many TSC cycles (about
+  // 24 ms at a 2.1 GHz TSC) is a stall. A constant, not a calibration: the
+  // calibration sleeps 20 ms, which every runtime's setup would pay.
+  static constexpr std::uint64_t kStallCycles = 50'000'000;
 
   Runtime(RuntimeConfig config, std::vector<StageSpec> spec);
   ~Runtime();
@@ -251,8 +259,9 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  // Spawns the worker and watchdog threads. Idempotent, safe to race with
-  // Shutdown (lifecycle transitions are serialized); a no-op after Shutdown.
+  // Spawns one thread per worker, and the ops server's when ops.unix_path is
+  // set. Idempotent, safe to race with Shutdown (lifecycle transitions are
+  // serialized); a no-op after Shutdown.
   void Start();
 
   // Steers a batch of flow descriptors to the workers. Blocks while a
@@ -361,16 +370,20 @@ class Runtime {
     sfi::DomainManager mgr;
     IsolatedPipeline isolated{&mgr};
     // Serializes pipeline use and in-place recovery (worker thread) against
-    // checkpoint captures, failover restores and health snapshots (Stats,
-    // /healthz), which run on their callers' threads. Timed, so a capture
-    // can give up at its epoch's deadline. Uncontended on the fast path.
+    // checkpoint captures, failover restores and Stats() folds, which run on
+    // their callers' threads. Timed, so a capture can give up at its epoch's
+    // deadline. Uncontended on the fast path.
     std::timed_mutex mu;
-    // Watchdog signals: busy is true while a sub-batch is being processed,
-    // heartbeat increments once per completed sub-batch. Stuck = busy with
-    // an unmoving heartbeat across a watchdog period. (All other worker
-    // counters live in the runtime's registry, sharded by worker index.)
-    std::atomic<bool> busy{false};
-    std::atomic<std::uint64_t> heartbeat{0};
+    // TSC stamp of the worker's pop of the sub-batch it is on, 0 while it
+    // waits for one: RecordDelivery splits queue from service at it, and a
+    // scrape reads it to see a worker stuck right now.
+    std::atomic<std::uint64_t> busy_since{0};
+    // Failed and quarantined stage groups on this shard, stored at the end of
+    // every RecoverInPlace (under mu) so /healthz reads them without the
+    // lock. (The worker counters live in the runtime's registry, sharded by
+    // worker index.)
+    std::atomic<std::size_t> failed_groups{0};
+    std::atomic<std::size_t> quarantined_groups{0};
     // Flow id of the most recent batch this worker took up — the exemplar
     // attached to its checkpoint pause sample (which flow paid the pause)
     // and to the failover counter (both drivers read it from their own
@@ -399,8 +412,6 @@ class Runtime {
     obs::Counter* failover_failures = nullptr;
     obs::Counter* worker_parks = nullptr;    // park path only, per worker
     obs::Counter* dispatch_waits = nullptr;  // park path only
-    obs::Gauge* queue_depth = nullptr;
-    obs::Gauge* queue_hwm = nullptr;
     obs::Histogram* batch_cycles = nullptr;
     obs::Histogram* delivery_latency_cycles = nullptr;  // always-on (SLO)
     // Always-on decomposition of the SLO histogram (see RuntimeStats).
@@ -413,21 +424,25 @@ class Runtime {
   };
 
   void WorkerMain(Worker& w);
-  void ProcessFlows(Worker& w, const FlowBatch& flows);
+  // Runs one popped sub-batch; returns the TSC stamp at which it was done.
+  std::uint64_t ProcessFlows(Worker& w, const FlowBatch& flows);
   // Records delivery_latency_cycles plus its exact additive decomposition
   // (queue/service/fence) for a delivered batch that waited `fence` cycles
-  // for its pipeline lock. No-op when the batch carries no dispatch stamp.
-  void RecordDelivery(Worker& w, const FlowBatch& flows, std::uint64_t fence);
+  // for its pipeline lock, splitting at w.busy_since. Returns the delivery
+  // stamp.
+  std::uint64_t RecordDelivery(Worker& w, const FlowBatch& flows,
+                               std::uint64_t fence);
   // Counts `new_faults` (the stage groups the caller's call into w's
   // pipeline just failed) in runtime.faults_total, then recovers every
   // group the pipeline has Failed, on the calling thread, counting them in
-  // runtime.recoveries_total. Caller holds w.mu.
+  // runtime.recoveries_total, and publishes w's failed and quarantined group
+  // counts. Caller holds w.mu.
   void RecoverInPlace(Worker& w, std::size_t new_faults);
-  // Flags workers busy on one sub-batch across a whole watchdog period.
-  void WatchdogMain();
-  // /healthz body for the ops server: lifecycle, quarantine census, and
-  // checkpoint epoch state. Runs on the server thread while workers
-  // are live (per-stage health is read under each worker's mutex).
+  // Workers whose current sub-batch was popped more than kStallCycles ago.
+  std::size_t StalledWorkers() const;
+  // /healthz body for the ops server: lifecycle, quarantine and stall
+  // census, and checkpoint epoch state. Runs on the server thread while
+  // workers are live, reading only what they publish: no worker's lock.
   std::string HealthzJson();
 
   RuntimeConfig config_;
@@ -440,7 +455,6 @@ class Runtime {
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::string> stage_names_;
   std::vector<DegradePolicy> stage_policies_;
-  std::thread watchdog_;
   // Live ops endpoint, started after the workers in Start() and stopped
   // first in Shutdown() (it reads registry_ and worker state, so it must
   // never outlive them). Guarded by lifecycle_mu_ for create/destroy.
@@ -453,10 +467,6 @@ class Runtime {
   bool started_ = false;
   bool shut_down_ = false;
   std::atomic<bool> accepting_{false};
-
-  std::mutex watchdog_mu_;
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
 
   // Live-checkpoint state. ckpt_driver_mu_ serializes CheckpointLive with
   // FailoverWorker (one driver at a time). Each worker's pipeline lock is

@@ -37,37 +37,6 @@ std::uint64_t Counter::Value() const {
 }
 
 // ---------------------------------------------------------------------------
-// Gauge
-
-Gauge::Gauge(std::size_t shards)
-    : shard_count_(shards == 0 ? 1 : shards),
-      shards_(std::make_unique<Cell[]>(shard_count_)) {}
-
-void Gauge::SetMax(std::size_t shard, std::int64_t v) {
-  std::atomic<std::int64_t>& cell = shards_[shard % shard_count_].v;
-  std::int64_t cur = cell.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !cell.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-std::int64_t Gauge::Sum() const {
-  std::int64_t total = 0;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    total += shards_[i].v.load(std::memory_order_acquire);
-  }
-  return total;
-}
-
-std::int64_t Gauge::Max() const {
-  std::int64_t m = 0;
-  for (std::size_t i = 0; i < shard_count_; ++i) {
-    m = std::max(m, shards_[i].v.load(std::memory_order_acquire));
-  }
-  return m;
-}
-
-// ---------------------------------------------------------------------------
 // Histogram
 
 Histogram::Histogram(std::size_t shards)
@@ -230,15 +199,6 @@ Counter* Registry::GetCounter(const std::string& name, std::size_t shards) {
   return counters_.back().metric.get();
 }
 
-Gauge* Registry::GetGauge(const std::string& name, std::size_t shards) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (auto* existing = FindOrNull(gauges_, name)) {
-    return existing;
-  }
-  gauges_.push_back({name, std::make_unique<Gauge>(shards)});
-  return gauges_.back().metric.get();
-}
-
 Histogram* Registry::GetHistogram(const std::string& name,
                                   std::size_t shards) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -274,23 +234,8 @@ Snapshot Registry::ScrapeLocked() const {
     s.exemplar_trace_id = ex_id;
     snap.counters.push_back(std::move(s));
   }
-  for (const auto& e : gauges_) {
-    Snapshot::GaugeSample s;
-    s.name = e.name;
-    for (std::size_t i = 0; i < e.metric->shards(); ++i) {
-      s.shards.push_back(e.metric->ShardValue(i));
-    }
-    s.sum = e.metric->Sum();
-    s.max = e.metric->Max();
-    snap.gauges.push_back(std::move(s));
-  }
   for (const auto& [name, fn] : gauge_fns_) {
-    Snapshot::GaugeSample s;
-    s.name = name;
-    s.sum = fn();
-    s.max = s.sum;
-    s.shards.push_back(s.sum);
-    snap.gauges.push_back(std::move(s));
+    snap.gauges.push_back({name, fn()});
   }
   for (const auto& e : histograms_) {
     snap.histograms.push_back({e.name, e.metric->Snapshot()});
@@ -442,6 +387,14 @@ void AppendHistogramJson(std::string& out, const HistogramSnapshot& h) {
   out += '}';
 }
 
+// A gauge is one level. Its JSON carries it as both "sum" and "max", the
+// two fields scrapers of this format read.
+void AppendGaugeJson(std::string& out, const Snapshot::GaugeSample& g) {
+  AppendJsonKey(out, g.name);
+  const std::string v = std::to_string(g.value);
+  out += "{\"sum\":" + v + ",\"max\":" + v + "}";
+}
+
 }  // namespace
 
 std::string Snapshot::ToPrometheus() const {
@@ -467,7 +420,7 @@ std::string Snapshot::ToPrometheus() const {
   for (const auto& g : gauges) {
     const std::string n = PromName(g.name);
     out += "# TYPE " + n + " gauge\n";
-    out += n + " " + std::to_string(g.sum) + "\n";
+    out += n + " " + std::to_string(g.value) + "\n";
   }
   for (const auto& h : histograms) {
     const std::string n = PromName(h.name);
@@ -510,9 +463,7 @@ std::string Snapshot::ToJson() const {
     if (i > 0) {
       out += ',';
     }
-    AppendJsonKey(out, gauges[i].name);
-    out += "{\"sum\":" + std::to_string(gauges[i].sum) +
-           ",\"max\":" + std::to_string(gauges[i].max) + "}";
+    AppendGaugeJson(out, gauges[i]);
   }
   out += "},\"histograms\":{";
   for (std::size_t i = 0; i < histograms.size(); ++i) {
@@ -548,9 +499,7 @@ std::string DeltaSnapshot::ToJson() const {
     if (i > 0) {
       out += ',';
     }
-    AppendJsonKey(out, gauges[i].name);
-    out += "{\"sum\":" + std::to_string(gauges[i].sum) +
-           ",\"max\":" + std::to_string(gauges[i].max) + "}";
+    AppendGaugeJson(out, gauges[i]);
   }
   out += "},\"histograms\":{";
   for (std::size_t i = 0; i < histograms.size(); ++i) {

@@ -1,5 +1,6 @@
-// obs:: metrics — lock-free sharded counters, gauges, and log-linear cycle
-// histograms behind a named registry with consistent scrape.
+// obs:: metrics — lock-free sharded counters, log-linear cycle histograms
+// and scrape-time callback gauges behind a named registry with consistent
+// scrape.
 //
 // The paper's claims are numbers (90–122 cycles per remote call, 4389-cycle
 // recovery), so the repo needs first-class instrumentation at the isolation
@@ -11,9 +12,11 @@
 //      benches arm them for a measurement phase; production-shaped runs pay
 //      nothing but the flag check.
 //   2. *The armed hot path takes no locks and shares no cache lines.* Every
-//      metric is sharded: one cache-line-padded slot per worker (explicit
-//      shard index, the net::Runtime arrangement) or per thread (TLS-assigned
-//      shard for global metrics such as the sfi crossing histogram).
+//      counter and histogram is sharded: one cache-line-padded slot per
+//      worker (explicit shard index, the net::Runtime arrangement) or per
+//      thread (TLS-assigned shard for global metrics such as the sfi
+//      crossing histogram). Gauges cost the hot path nothing: each is a
+//      callback that reads its level from the owner's state at scrape time.
 //   3. *Scrape() is a consistent snapshot.* Counters are monotone by
 //      construction (per-shard monotone atomics, summed with acquire loads).
 //      Histogram shards are read through a bounded-retry protocol keyed on
@@ -116,40 +119,6 @@ class Counter {
   std::size_t shard_count_;
   std::unique_ptr<Cell[]> shards_;
   ExemplarCell exemplar_;
-};
-
-// Last-value gauge with per-shard cells. Additive reads (Sum — e.g. mempool
-// occupancy summed over workers) and max reads (Max — e.g. queue high-water
-// mark) are both provided; pick per metric.
-class Gauge {
- public:
-  explicit Gauge(std::size_t shards);
-
-  Gauge(const Gauge&) = delete;
-  Gauge& operator=(const Gauge&) = delete;
-
-  void Set(std::size_t shard, std::int64_t v) {
-    shards_[shard % shard_count_].v.store(v, std::memory_order_release);
-  }
-  void Add(std::size_t shard, std::int64_t d) {
-    shards_[shard % shard_count_].v.fetch_add(d, std::memory_order_relaxed);
-  }
-  // Monotone raise — lock-free max via CAS.
-  void SetMax(std::size_t shard, std::int64_t v);
-
-  std::int64_t Sum() const;
-  std::int64_t Max() const;
-  std::int64_t ShardValue(std::size_t shard) const {
-    return shards_[shard % shard_count_].v.load(std::memory_order_acquire);
-  }
-  std::size_t shards() const { return shard_count_; }
-
- private:
-  struct alignas(64) Cell {
-    std::atomic<std::int64_t> v{0};
-  };
-  std::size_t shard_count_;
-  std::unique_ptr<Cell[]> shards_;
 };
 
 // Consistent read of one histogram (all shards pooled): bucket counts plus
@@ -267,9 +236,7 @@ struct Snapshot {
   };
   struct GaugeSample {
     std::string name;
-    std::int64_t sum = 0;
-    std::int64_t max = 0;
-    std::vector<std::int64_t> shards;
+    std::int64_t value = 0;
   };
   struct HistogramSample {
     std::string name;
@@ -341,12 +308,12 @@ class Registry {
   // Create-or-get by name. The shard count is fixed by the first caller;
   // later callers get the existing metric regardless of their `shards`.
   Counter* GetCounter(const std::string& name, std::size_t shards = 1);
-  Gauge* GetGauge(const std::string& name, std::size_t shards = 1);
   Histogram* GetHistogram(const std::string& name, std::size_t shards = 1);
 
-  // Callback gauge, evaluated at scrape time — for state owned elsewhere
-  // (mempool occupancy) that should appear in exports without double
-  // bookkeeping on the owner's hot path.
+  // Gauge, evaluated at scrape time — the only gauge kind: a level is read
+  // from the state that owns it (mempool occupancy, ring depth), so the
+  // owner's hot path keeps no second copy. JSON exports it as
+  // {"sum":v,"max":v}, both fields the one value.
   void RegisterGaugeFn(const std::string& name,
                        std::function<std::int64_t()> fn);
 
@@ -371,7 +338,6 @@ class Registry {
 
   mutable std::mutex mu_;
   std::vector<Entry<Counter>> counters_;
-  std::vector<Entry<Gauge>> gauges_;
   std::vector<Entry<Histogram>> histograms_;
   std::vector<std::pair<std::string, std::function<std::int64_t()>>>
       gauge_fns_;

@@ -374,7 +374,7 @@ std::string OpsServer::MetricsDeltaBody() {
   if (!components.empty()) {
     out += ",\"components\":{" + components + "}";
   }
-  // Gauge levels (queue imbalance, inflight, ring depth...) ride in the header
+  // Gauge levels (ring depth, stalled workers, mempool...) ride in the header
   // too: they are the "what is the system doing right now" complement to the
   // interval quantiles, and a delta-only scraper would otherwise miss them.
   if (!d.gauges.empty()) {
@@ -385,8 +385,8 @@ std::string OpsServer::MetricsDeltaBody() {
         out += ",";
       }
       first = false;
-      out += "\"" + g.name + "\":{\"sum\":" + std::to_string(g.sum) +
-             ",\"max\":" + std::to_string(g.max) + "}";
+      const std::string v = std::to_string(g.value);
+      out += "\"" + g.name + "\":{\"sum\":" + v + ",\"max\":" + v + "}";
     }
     out += "}";
   }

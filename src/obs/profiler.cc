@@ -24,6 +24,8 @@
 #endif
 #endif  // defined(__linux__)
 
+#include "src/obs/trace.h"
+
 namespace obs {
 
 namespace internal {
@@ -100,7 +102,10 @@ void ProfSignalHandler(int /*signo*/, siginfo_t* si, void* /*uctx*/) {
     // dynamic extent still fold to their own phase frame.
     stage = nullptr;
   }
-  const std::uint64_t flow = st->ctx.flow.load(std::memory_order_relaxed);
+  // The batch this sample landed in, if any: the tracer's flow context of
+  // this same thread.
+  const std::uint64_t flow =
+      internal::g_current_flow.load(std::memory_order_relaxed);
   const std::uint32_t tag = static_cast<std::uint32_t>(phase) + 1;
   const std::size_t h =
       (reinterpret_cast<std::uintptr_t>(stage) >> 4) ^ phase;

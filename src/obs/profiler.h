@@ -4,8 +4,8 @@
 // The tracer answers "what happened, when"; the profiler answers "where did
 // the CPU go" — without frame-pointer unwinding. Each registered thread
 // (the runtime's workers) keeps a tiny TLS context block: the current
-// *phase* (pop / execute / recover / idle), the current pipeline stage
-// name, and the current flow id. A POSIX per-thread
+// *phase* (pop / execute / recover / idle) and the current pipeline stage
+// name; the flow id is the tracer's (obs::ScopedFlowId). A POSIX per-thread
 // CPU-time timer (timer_create on the thread's cpuclock, SIGEV_THREAD_ID,
 // SIGPROF) interrupts the thread on its own CPU consumption; the signal
 // handler attributes the tick to that context by bumping a slot in a
@@ -61,7 +61,6 @@ struct ProfThreadContext {
   std::atomic<std::uint8_t> phase{
       static_cast<std::uint8_t>(ProfilerPhase::kIdle)};
   std::atomic<const char*> stage{nullptr};
-  std::atomic<std::uint64_t> flow{0};
 };
 
 // Null until the thread calls Profiler::RegisterThisThread. constinit, so
@@ -103,20 +102,11 @@ class Profiler {
   //   <thread>;<phase>[;<stage>] <count>
   // one line per populated slot, preceded by `#` comment headers carrying
   // sample / attribution / overflow tallies and followed by `# exemplar`
-  // comments with the last flow id seen per stack. Safe to call while the
-  // profiled threads keep running.
+  // comments with the last flow id (obs::CurrentFlowId) a sample of each
+  // stack landed in. Safe to call while the profiled threads keep running.
   std::string StopWindowFolded();
 
   bool window_open() const;
-
-  // --- context setters (any thread; no-ops unless registered + armed) ---
-
-  static void SetFlow(std::uint64_t id) {
-    internal::ProfThreadContext* ctx = internal::g_prof_ctx;
-    if (ctx != nullptr && ArmedFast()) {
-      ctx->flow.store(id, std::memory_order_relaxed);
-    }
-  }
 
  private:
   Profiler() = default;

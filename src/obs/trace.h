@@ -63,22 +63,33 @@ struct TraceEvent {
 // records with *which* flow it happened to. 0 means "no flow context".
 // constinit, so other translation units read it directly rather than
 // through a TLS init wrapper (which UBSan reports as a null-pointer access).
+// Atomic, because the thread's SIGPROF handler (obs::Profiler) reads it for
+// its exemplars; relaxed, since writer and reader are the same thread.
+// Local-exec, because every binary links this library statically: under
+// -fsanitize=null the initial-exec access GCC emits otherwise (an add of the
+// GOT offset, then a branch on its flags) is relaxed by the linker into a
+// flag-less lea, and UBSan then reports the atomic's address as null.
 namespace internal {
-extern constinit thread_local std::uint64_t g_current_flow;
+extern constinit thread_local std::atomic<std::uint64_t> g_current_flow
+    __attribute__((tls_model("local-exec")));
 }  // namespace internal
 
 // Process-unique flow ids (monotone, never 0). Cheap: one relaxed RMW.
 std::uint64_t NextFlowId();
 
-inline std::uint64_t CurrentFlowId() { return internal::g_current_flow; }
+inline std::uint64_t CurrentFlowId() {
+  return internal::g_current_flow.load(std::memory_order_relaxed);
+}
 
 // RAII flow-context switch: restores the previous id on exit (nests).
 class ScopedFlowId {
  public:
-  explicit ScopedFlowId(std::uint64_t id) : prev_(internal::g_current_flow) {
-    internal::g_current_flow = id;
+  explicit ScopedFlowId(std::uint64_t id) : prev_(CurrentFlowId()) {
+    internal::g_current_flow.store(id, std::memory_order_relaxed);
   }
-  ~ScopedFlowId() { internal::g_current_flow = prev_; }
+  ~ScopedFlowId() {
+    internal::g_current_flow.store(prev_, std::memory_order_relaxed);
+  }
 
   ScopedFlowId(const ScopedFlowId&) = delete;
   ScopedFlowId& operator=(const ScopedFlowId&) = delete;
@@ -109,7 +120,7 @@ class Tracer {
   void Reset();
 
   // Names the calling thread's track in the exported trace ("worker0",
-  // "watchdog"). No-op while disarmed.
+  // "storm-driver"). No-op while disarmed.
   void SetThreadName(std::string name);
 
   // Copies `s` into tracer-owned storage and returns a stable const char*,

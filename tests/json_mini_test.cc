@@ -98,7 +98,7 @@ const std::vector<std::string>& Corpus() {
     }
     obs::Registry registry;
     registry.GetCounter("fuzz.requests_total", 2)->Add(1, 41);
-    registry.GetGauge("fuzz.depth")->Set(0, -3);
+    registry.RegisterGaugeFn("fuzz.depth", [] { return std::int64_t{-3}; });
     obs::Histogram* cycles = registry.GetHistogram("fuzz.cycles");
     for (std::uint64_t v = 1; v < 5000; v *= 3) {
       cycles->RecordWithExemplar(0, v, v + 7);

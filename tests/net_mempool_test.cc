@@ -49,6 +49,20 @@ TEST(Mempool, SlotsAreDisjointBuffers) {
             64u);
 }
 
+// The slab starts on a cache line, so with 2048-byte slots every frame does
+// and a 64-byte frame spans one line, wherever the heap places the slab: a
+// large pool (nfbench's shape, which glibc serves from mmap) and a small one
+// (served from the heap).
+TEST(Mempool, EveryBufferStartsOnACacheLine) {
+  for (const std::size_t capacity : {std::size_t{4096}, std::size_t{8}}) {
+    Mempool pool(capacity, 2048);
+    for (std::uint32_t slot = 0; slot < capacity; ++slot) {
+      ASSERT_EQ(reinterpret_cast<std::uintptr_t>(pool.Data(slot)) % 64, 0u)
+          << "capacity " << capacity << ", slot " << slot;
+    }
+  }
+}
+
 TEST(Mempool, ForeignSlotFreePanics) {
   Mempool pool(2, 64);
   EXPECT_THROW(pool.Free(7), util::PanicError);

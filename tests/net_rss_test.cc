@@ -172,7 +172,6 @@ TEST(Rss, DispatchConsumesItsBatch) {
   EXPECT_EQ(received.size(), 8u);
   EXPECT_EQ(received.flow_id(), 77u);
   EXPECT_EQ(received.dispatch_tsc(), 1234u);
-  EXPECT_EQ(received.pop_tsc(), 0u);
 }
 
 TEST(Rss, BatchesSteeredCountsDispatchCallsNotSubBatches) {

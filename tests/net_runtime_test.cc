@@ -9,6 +9,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -255,6 +257,29 @@ TEST(Runtime, StartAfterShutdownIsANoOp) {
   FlowFeeder feeder(&sampler);
   EXPECT_FALSE(rt.Dispatch(feeder.Next(4)));
   EXPECT_EQ(rt.Stats().totals.packets, 0u);
+}
+
+// This process's threads: one /proc/self/task entry each.
+std::size_t ThreadCount() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                    std::filesystem::directory_iterator{}));
+}
+
+// A started runtime runs its workers and no thread beside them (the ops
+// server's runs only when ops.unix_path is set).
+TEST(Runtime, StartSpawnsOnlyTheWorkers) {
+  RuntimeConfig cfg;
+  cfg.workers = 2;
+  std::vector<StageSpec> spec;
+  spec.push_back(
+      {"null", [](std::size_t) { return std::make_unique<NullFilter>(); }});
+  Runtime rt(cfg, spec);
+  const std::size_t before = ThreadCount();
+  rt.Start();
+  const std::size_t after = ThreadCount();
+  rt.Shutdown();
+  EXPECT_EQ(after - before, 2u);
 }
 
 TEST(Runtime, ConcurrentStartAndShutdownAreSerialized) {

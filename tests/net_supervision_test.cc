@@ -1,8 +1,9 @@
 // Supervision under injected fault storms: a faulted stage is recovered on
 // the worker that saw the fault, before its next batch; recovery-fn panics
 // are contained, crash-looping stages are quarantined, each DegradePolicy
-// does what it says, MTTR is measured, the watchdog flags stuck workers, and
-// out-of-domain panics (mempool) do not kill worker threads.
+// does what it says, MTTR is measured, a worker stuck in one sub-batch shows
+// while it lasts and counts one stall, and out-of-domain panics (mempool) do
+// not kill worker threads.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,6 +13,7 @@
 #include <mutex>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -232,44 +234,103 @@ TEST_F(SupervisionTest, TransientFaultsRecordMttrWithoutQuarantine) {
   EXPECT_GT(stats.totals.packets, 0u);
 }
 
-// An operator that goes comatose on its first batch. The runtime's
-// watchdog (busy worker, unmoving heartbeat across a 25 ms period) must flag
-// it; the nap spans four periods.
-class SleepyOperator : public Operator {
+// Holds a stage until the test opens it: a condition variable, so a held
+// stage burns no CPU and the test passes pinned to one core.
+class Gate {
  public:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// An operator that holds its first batch on a gate, then passes every batch.
+class GatedOperator : public Operator {
+ public:
+  explicit GatedOperator(Gate* gate) : gate_(gate) {}
+
   PacketBatch Process(PacketBatch batch) override {
-    if (!slept_) {
-      slept_ = true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    if (!held_) {
+      held_ = true;
+      gate_->Wait();
     }
     return batch;
   }
-  std::string_view name() const override { return "sleepy"; }
+  std::string_view name() const override { return "gated"; }
 
  private:
-  bool slept_ = false;
+  Gate* gate_;
+  bool held_ = false;
 };
 
-TEST_F(SupervisionTest, WatchdogFlagsStuckWorker) {
+// A gauge's level from a registry scrape, which takes no worker's lock
+// (Stats() would wait behind a held stage); -1 when it is not registered.
+std::int64_t GaugeValue(Runtime& rt, const std::string& name) {
+  for (const auto& g : rt.registry().Scrape().gauges) {
+    if (g.name == name) {
+      return g.value;
+    }
+  }
+  return -1;
+}
+
+// A worker held on one sub-batch past Runtime::kStallCycles shows in the
+// runtime.stalled_workers gauge while it lasts, and counts one stall when
+// the sub-batch ends — not again on the batches that follow.
+TEST_F(SupervisionTest, StuckWorkerShowsWhileStuckAndCountsOneStall) {
+  Gate gate;
   RuntimeConfig cfg;
   cfg.workers = 1;
   std::vector<StageSpec> spec;
-  spec.push_back({"sleepy", [](std::size_t) {
-                    return std::make_unique<SleepyOperator>();
+  spec.push_back({"gated", [&gate](std::size_t) {
+                    return std::make_unique<GatedOperator>(&gate);
                   }});
   Runtime rt(cfg, spec);
   rt.Start();
 
   FlowSampler sampler(16, 0.0, 29);
   FlowFeeder feeder(&sampler);
-  rt.Dispatch(feeder.Next(8));  // the batch the worker naps on
-  const bool stalled = DispatchUntil(rt, feeder, [](const RuntimeStats& s) {
+  rt.Dispatch(feeder.Next(8));  // the batch the worker is held on
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::int64_t stalled = GaugeValue(rt, "runtime.stalled_workers");
+  while (stalled != 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    stalled = GaugeValue(rt, "runtime.stalled_workers");
+  }
+  gate.Open();
+  EXPECT_EQ(stalled, 1) << "the held worker never showed as stalled";
+
+  // The held sub-batch ends: one stall, counted by the worker itself.
+  const bool counted = DispatchUntil(rt, feeder, [](const RuntimeStats& s) {
     return s.totals.stalls >= 1;
   });
+  EXPECT_TRUE(counted) << "the held sub-batch never counted its stall";
+  const std::uint64_t batches = rt.Stats().totals.batches;
+  for (int i = 0; i < 20; ++i) {
+    rt.Dispatch(feeder.Next(8));
+  }
+  const bool drained = DispatchUntil(rt, feeder, [&](const RuntimeStats& s) {
+    return s.totals.batches >= batches + 20;
+  });
+  EXPECT_TRUE(drained);
+  EXPECT_EQ(rt.Stats().totals.stalls, 1u);
+  EXPECT_EQ(GaugeValue(rt, "runtime.stalled_workers"), 0);
   rt.Shutdown();
-  EXPECT_TRUE(stalled) << "watchdog never flagged the sleeping worker";
   EXPECT_GT(rt.Stats().totals.packets, 0u)
-      << "worker must finish the batch after its nap";
+      << "worker must finish the batch after its hold";
 }
 
 // Faults injected *outside* any domain — in the worker's own materialization

@@ -3,8 +3,8 @@
 // robustness (malformed / oversized / wrong-method requests answered with
 // 4xx, never a crash), concurrent scrapes against a runtime under dispatch
 // load, /trace drains racing live tracer writers, clean server teardown
-// inside Runtime::Shutdown, seeded fuzzing of request parsing, and two
-// acceptance checks: a delta scrape
+// inside Runtime::Shutdown, /healthz answering while a stage is stuck,
+// seeded fuzzing of request parsing, and two acceptance checks: a delta scrape
 // spanning a forced CheckpointLive + FailoverWorker reports nonzero interval
 // slo_p99_cycles alongside the ckpt_epochs / failovers counter deltas, and
 // the same window's SLO header decomposes delivery latency into
@@ -19,12 +19,16 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -433,6 +437,93 @@ TEST(OpsServerTest, ServerStopsCleanlyDuringRuntimeShutdown) {
   scraper.join();
   // Stop() unlinked the socket: connects must now fail outright.
   EXPECT_EQ(Get(sock, "/healthz"), "");
+}
+
+// Holds a stage until the test opens it: a condition variable, so a held
+// stage burns no CPU and the test passes pinned to one core.
+class Gate {
+ public:
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return open_; });
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// Holds its first batch on a gate, then passes every batch.
+class GatedStage : public net::Operator {
+ public:
+  explicit GatedStage(Gate* gate) : gate_(gate) {}
+
+  net::PacketBatch Process(net::PacketBatch batch) override {
+    if (!held_) {
+      held_ = true;
+      gate_->Wait();
+    }
+    return batch;
+  }
+  std::string_view name() const override { return "gated"; }
+
+ private:
+  Gate* gate_;
+  bool held_ = false;
+};
+
+// /healthz reads what the workers publish, not their pipeline locks: while
+// a stage holds its worker inside one sub-batch, /healthz still answers at
+// once and names the stuck worker.
+TEST(OpsServerTest, HealthzAnswersWhileAStageIsStuck) {
+  Gate gate;
+  const std::string sock = SockPath("stuck");
+  net::RuntimeConfig cfg;
+  cfg.workers = 1;
+  cfg.ops.unix_path = sock;
+  std::vector<net::StageSpec> spec;
+  spec.push_back({"gated", [&gate](std::size_t) {
+                    return std::make_unique<GatedStage>(&gate);
+                  }});
+  net::Runtime rt(cfg, spec);
+  rt.Start();
+  net::FlowSampler sampler(16, 0.0, 5);
+  net::FlowFeeder feeder(&sampler);
+  rt.Dispatch(feeder.Next(8));  // the batch the worker is held on
+
+  // No ASSERTs until the gate is open: an early return would leave the
+  // worker held and Shutdown waiting on it.
+  bool stalled = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!stalled && std::chrono::steady_clock::now() < deadline) {
+    for (const auto& g : rt.registry().Scrape().gauges) {
+      stalled = stalled || (g.name == "runtime.stalled_workers" && g.value == 1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::future<std::string> reply =
+      std::async(std::launch::async, [&sock] { return Get(sock, "/healthz"); });
+  const bool answered =
+      reply.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  gate.Open();  // either way, before the helper thread is joined
+  const std::string healthz = reply.get();
+  rt.Shutdown();
+
+  EXPECT_TRUE(stalled) << "runtime.stalled_workers never read 1";
+  EXPECT_TRUE(answered) << "/healthz waited behind the stuck stage";
+  EXPECT_EQ(StatusOf(healthz), 200);
+  const std::string body = BodyOf(healthz);
+  EXPECT_NE(body.find("\"stalled_workers\":1"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"status\":\"degraded\""), std::string::npos) << body;
 }
 
 // The acceptance check: one delta window spanning a forced live checkpoint

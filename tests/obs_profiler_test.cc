@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "src/obs/profiler.h"
+#include "src/obs/trace.h"
 
 namespace {
 
@@ -70,7 +71,7 @@ void BurnLoop(const char* name, std::atomic<bool>* go,
   while (!stop->load(std::memory_order_acquire)) {
     obs::ScopedProfilerPhase exec(obs::ProfilerPhase::kExecute);
     obs::ScopedProfilerStage stage("burn_stage");
-    obs::Profiler::SetFlow(0x2a);
+    obs::ScopedFlowId flow(0x2a);
     for (int i = 0; i < 20000; ++i) {
       sink = sink + static_cast<std::uint64_t>(i);
     }
@@ -179,7 +180,7 @@ TEST(Profiler, UnregisteredThreadSettersAreNoOps) {
   {
     obs::ScopedProfilerPhase p(obs::ProfilerPhase::kExecute);
     obs::ScopedProfilerStage s("should_not_appear");
-    obs::Profiler::SetFlow(0xdead);
+    obs::ScopedFlowId flow(0xdead);
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   const std::string folded = obs::Profiler::Global().StopWindowFolded();

@@ -1,5 +1,5 @@
-// obs::Registry / Counter / Gauge / Histogram — correctness of the sharded
-// lock-free metrics, with emphasis on the consistency contract: scrapes
+// obs::Registry / Counter / Histogram and callback gauges — correctness of
+// the sharded lock-free metrics, with emphasis on the consistency contract: scrapes
 // taken while writers hammer the metrics must see monotone counters and
 // never a torn histogram (sum of buckets == count in every snapshot).
 #include <atomic>
@@ -43,19 +43,6 @@ TEST(Counter, ConcurrentIncrementsAllCounted) {
   }
   EXPECT_EQ(c.Value(),
             static_cast<std::uint64_t>(kThreads) * kIncrementsPerThread);
-}
-
-TEST(Gauge, SumMaxAndSetMax) {
-  obs::Gauge g(3);
-  g.Set(0, 10);
-  g.Set(1, -3);
-  g.Set(2, 7);
-  EXPECT_EQ(g.Sum(), 14);
-  EXPECT_EQ(g.Max(), 10);
-  g.SetMax(1, 25);
-  EXPECT_EQ(g.ShardValue(1), 25);
-  g.SetMax(1, 4);  // lower value must not regress the max
-  EXPECT_EQ(g.ShardValue(1), 25);
 }
 
 TEST(Histogram, BucketBoundariesExactBelowFour) {
@@ -167,7 +154,7 @@ TEST(Registry, GetOrCreateReturnsStablePointers) {
 TEST(Registry, ScrapeAndExporters) {
   obs::Registry reg;
   reg.GetCounter("demo.calls_total")->Add(0, 3);
-  reg.GetGauge("demo.depth", 2)->Set(1, 9);
+  reg.RegisterGaugeFn("demo.depth", [] { return std::int64_t{9}; });
   reg.GetHistogram("demo.cycles")->Record(0, 100);
   reg.RegisterGaugeFn("demo.fn_gauge", [] { return std::int64_t{42}; });
 
@@ -175,10 +162,10 @@ TEST(Registry, ScrapeAndExporters) {
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].name, "demo.calls_total");
   EXPECT_EQ(snap.counters[0].value, 3u);
-  // Callback gauges surface alongside stored gauges at scrape time.
+  // Every callback gauge surfaces at scrape time.
   bool saw_fn_gauge = false;
   for (const auto& g : snap.gauges) {
-    saw_fn_gauge = saw_fn_gauge || (g.name == "demo.fn_gauge" && g.sum == 42);
+    saw_fn_gauge = saw_fn_gauge || (g.name == "demo.fn_gauge" && g.value == 42);
   }
   EXPECT_TRUE(saw_fn_gauge);
   ASSERT_EQ(snap.histograms.size(), 1u);
@@ -229,7 +216,7 @@ TEST(Registry, SnapshotDeltaReportsOnlyTheInterval) {
   obs::Registry reg;
   obs::Counter* c = reg.GetCounter("d.calls_total");
   obs::Histogram* h = reg.GetHistogram("d.cycles");
-  reg.GetGauge("d.depth")->Set(0, 7);
+  reg.RegisterGaugeFn("d.depth", [] { return std::int64_t{7}; });
   c->Add(0, 10);
   h->Record(0, 50);
 
@@ -248,7 +235,7 @@ TEST(Registry, SnapshotDeltaReportsOnlyTheInterval) {
   EXPECT_EQ(idle.histograms[0].delta.count, 0u);
   bool saw_gauge = false;
   for (const auto& g : idle.gauges) {
-    saw_gauge = saw_gauge || (g.name == "d.depth" && g.sum == 7);
+    saw_gauge = saw_gauge || (g.name == "d.depth" && g.value == 7);
   }
   EXPECT_TRUE(saw_gauge);
 
